@@ -34,3 +34,11 @@ class NotInVarietyError(RoncoError):
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+
+
+class InternalError(RuntimeError):
+    """An internal invariant failed (for example ∂∘∂ ≠ 0): a bug, not bad input.
+
+    Deliberately not a `RoncoError`, so the command line does not report it
+    as an input error.
+    """

@@ -13,7 +13,7 @@ keys i < j in lexicographic order; m⊗x chains put the module factor first.
 
 Every boundary map is checked against the next map (the composite must be
 exactly zero) before any rank is subtracted; a failure is an internal bug,
-not bad input, and raises AssertionError.
+not bad input, and raises InternalError (under `python -O` as well).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import NotInVarietyError
+from .errors import InternalError, NotInVarietyError
 from .linalg import SparseMatrix, SpanBuilder, quotient_dim, rank_and_kernel
 from .structure import StructureAlgebra, basis_vector, verify_variety
 
@@ -39,6 +39,11 @@ def _require(a: StructureAlgebra, variety: str, op: str):
     report = verify_variety(a, variety)
     if not report.ok:
         raise NotInVarietyError(f"{op} needs an algebra in the {variety} variety", report)
+
+
+def _invariant(holds: bool, message: str):
+    if not holds:
+        raise InternalError(message)
 
 
 def _bump(acc: dict, key, c: Fraction):
@@ -83,9 +88,9 @@ def hl1(a: StructureAlgebra) -> HomologyReport:
         span.add(cell)
         relations.append(_dense(a.dim, cell))
     dimension = quotient_dim(a.dim, relations)
-    assert dimension == a.dim - span.rank
+    _invariant(dimension == a.dim - span.rank, "hl1: quotient dimension differs from the span rank")
     reps = _coset_representatives(a.dim, span)
-    assert len(reps) == dimension
+    _invariant(len(reps) == dimension, "hl1: representative count differs from the dimension")
     return HomologyReport(dimension, reps)
 
 
@@ -118,7 +123,7 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
             i, j = divmod(t, n)
             for m, v in a.cell(i, j).items():
                 _bump(out, m, c * v)
-        assert not out, "boundary image escapes the bracket kernel"
+        _invariant(not out, "hl2: boundary image escapes the bracket kernel")
 
     _, kernel = rank_and_kernel(bracket_matrix)
     span = SpanBuilder(n * n)
@@ -129,7 +134,7 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
     for vec in kernel:
         if span.add(vec):
             reps.append(vec)
-    assert len(reps) == dimension
+    _invariant(len(reps) == dimension, "hl2: representative count differs from the dimension")
     return HomologyReport(dimension, tuple(reps))
 
 
@@ -158,9 +163,9 @@ def hr0(a: StructureAlgebra) -> HomologyReport:
     span = SpanBuilder(len(pairs))
     for col in columns:
         span.add(col)
-    assert dimension == len(pairs) - span.rank
+    _invariant(dimension == len(pairs) - span.rank, "hr0: quotient dimension differs from the span rank")
     reps = _coset_representatives(len(pairs), span)
-    assert len(reps) == dimension
+    _invariant(len(reps) == dimension, "hr0: representative count differs from the dimension")
     return HomologyReport(dimension, reps)
 
 
@@ -201,7 +206,7 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
             m, x = divmod(t, n)
             for p, v in a.cell(x, m).items():
                 _bump(out, p, c * v)
-        assert not out, "d1∘d2 is nonzero"
+        _invariant(not out, "h1_adjoint: d1∘d2 is nonzero")
 
     _, kernel = rank_and_kernel(d1)
     span = SpanBuilder(n * n)
@@ -212,5 +217,5 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     for vec in kernel:
         if span.add(vec):
             reps.append(vec)
-    assert len(reps) == dimension
+    _invariant(len(reps) == dimension, "h1_adjoint: representative count differs from the dimension")
     return HomologyReport(dimension, tuple(reps))

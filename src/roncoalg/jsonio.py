@@ -65,7 +65,7 @@ def _rows_to_table(rows, dim: int, what: str) -> dict:
         if not isinstance(row, dict) or not {"i", "j", "c"} <= row.keys():
             raise ValueError(f"malformed row in {what}: {row!r}")
         i, j = row["i"], row["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= dim and 1 <= j <= dim):
+        if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"row index ({i!r}, {j!r}) out of range 1..{dim}")
         if (i - 1, j - 1) in table:
             raise ValueError(f"duplicate row ({i}, {j}) in {what}")
@@ -74,7 +74,7 @@ def _rows_to_table(rows, dim: int, what: str) -> dict:
             if not isinstance(entry, dict) or not {"k", "v"} <= entry.keys():
                 raise ValueError(f"malformed entry in {what} row ({i}, {j}): {entry!r}")
             k = entry["k"]
-            if not (isinstance(k, int) and 1 <= k <= dim):
+            if not (type(k) is int and 1 <= k <= dim):
                 raise ValueError(f"entry index {k!r} out of range 1..{dim}")
             if k - 1 in cell:
                 raise ValueError(f"duplicate entry k={k} in {what} row ({i}, {j})")
@@ -89,7 +89,7 @@ def obj_to_algebra(obj) -> StructureAlgebra | MuAlgebra:
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise ValueError(f"\"dim\" must be a nonnegative integer, got {dim!r}")
     kind = obj.get("kind")
     if kind == "leibniz":

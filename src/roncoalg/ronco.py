@@ -32,9 +32,9 @@ from .freelie import (
     lyndon_words,
     witt_dim,
 )
-from .leibniz import leib_bracket, leib_generator
+from .leibniz import leib_bracket
 from .lincomb import LinComb
-from .linalg import SparseMatrix, SpanBuilder, rank_and_kernel
+from .linalg import SparseMatrix, rank_and_kernel
 from .structure import StructureAlgebra
 from . import terms
 

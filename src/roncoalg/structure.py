@@ -8,13 +8,21 @@ two tables: an antisymmetric bracket {−,−} and a commutative product.
 `verify_variety` / `verify_mu` check defining identities on all basis
 tuples and return the violations as data; the conversion maps between the
 two presentations refuse inputs whose report is non-empty.
+
+The identities are rows of one table, each a signed sum of bracket
+monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; one evaluator
+visits only the index tuples that a nonzero cell reaches, so the cost
+follows the nonzero cells, not dim³.  A variety is a list of rows in
+`_VARIETY_GROUPS`: "symmetric-leibniz", the right/left Leibniz pair, is the
+"leibniz" row plus ``"right-leibniz", "+b(b(i,j),k) -b(i,b(j,k)) +b(j,b(i,k))"``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
 from .linalg import SpanBuilder
@@ -167,29 +175,105 @@ class VerificationReport:
         return not self.violations
 
 
-class _Checker:
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.violations: list[Violation] = []
+# The identity table.  A row is (axiom, monomials, filter on the 0-based
+# indices).  Monomials are written over the tables b (the bracket), l and p
+# (bracket and product of a mu-algebra) and the variables i, j, k:
+#   +t(x,y)          the cell [e_x, e_y] of t
+#   +o(x,t(y,z))     [e_x, [e_y, e_z]] = _act_left(o, x, t[(y, z)])
+#   +o(t(x,y),z)     [[e_x, e_y], e_z] = _act_right(o, t[(x, y)], z)
+# A variable may repeat; every monomial of a row must use all its variables.
+# A group of rows is checked in one pass over the index tuples, so that
+# their violations interleave tuple by tuple.
 
-    def require_zero(self, axiom: str, indices: tuple[int, ...], residual: dict):
-        if residual:
-            dense = [Fraction(0)] * self.dim
-            for k, v in residual.items():
-                dense[k] = v
-            self.violations.append(Violation(axiom, tuple(i + 1 for i in indices), tuple(dense)))
+def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
+    monomials = []
+    for term in text.split():
+        sign, letters = (1 if term[0] == "+" else -1), [c for c in term if c.isalpha()]
+        if len(letters) == 3:
+            shape = ("cell", None, letters[0], letters[1:])
+        elif letters[1] in "ijk":
+            shape = ("left", letters[0], letters[2], letters[1:2] + letters[3:])
+        else:
+            shape = ("right", letters[0], letters[1], letters[2:])
+        monomials.append((sign, *shape[:3], tuple("ijk".index(c) for c in shape[3])))
+    return axiom, monomials, keep
 
 
-def _check_leibniz(ch: _Checker, bk: dict, axiom: str = "leibniz"):
-    # [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j] = 0
-    n = ch.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = _act_left(bk, i, bk.get((j, k), _EMPTY))
-                _add_scaled(acc, Fraction(-1), _act_right(bk, bk.get((i, j), _EMPTY), k))
-                _add_scaled(acc, Fraction(1), _act_right(bk, bk.get((i, k), _EMPTY), j))
-                ch.require_zero(axiom, (i, j, k), acc)
+_LEIBNIZ = [_row("leibniz", "+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)")]
+_VARIETY_GROUPS = {
+    "leibniz": [_LEIBNIZ],
+    "lie": [_LEIBNIZ, [_row("alternating", "+b(i,i)")],
+            [_row("antisymmetry", "+b(i,j) +b(j,i)", operator.lt)]],
+    "ronco": [_LEIBNIZ, [_row("polarized-square-bracket", "+b(b(i,j),k) +b(b(j,i),k)")],
+              [_row("square-bracket", "+b(b(i,i),j)")]],
+    "symmetric-leibniz": [_LEIBNIZ, [_row("right-leibniz", "+b(b(i,j),k) -b(i,b(j,k)) +b(j,b(i,k))")]],
+}
+_MU_GROUPS = [
+    [_row("commutative", "+p(i,j) -p(j,i)", operator.lt)],
+    [_row("triple-product-right", "+p(i,p(j,k))"), _row("triple-product-left", "+p(p(i,j),k)")],
+    [_row("bracket-alternating", "+l(i,i)")],
+    [_row("bracket-antisymmetry", "+l(i,j) +l(j,i)", operator.lt)],
+    [_row("product-bracket", "+l(p(i,j),k)")],
+    [_row("coupled-jacobi", "+l(i,l(j,k)) +l(k,l(i,j)) +l(j,l(k,i)) -p(i,l(j,k))")],
+    [_row("symmetric", "+p(i,l(j,k))")],  # only with symmetric=True
+    [_row("skew-action", "+p(i,l(i,j))")],
+    [_row("skew-action-polarized", "+p(i,l(j,k)) +p(j,l(i,k))")],
+]
+
+
+def _candidates(monomial: tuple, tables: dict, partners: dict):
+    """Index tuples at which the monomial can be nonzero, from the nonzero cells."""
+    _, shape, outer, inner, variables = monomial
+    for (x, y), cell in tables[inner].items():
+        if shape == "cell":
+            values = [(x, y)]
+        elif shape == "left":
+            values = [(a, x, y) for m in cell for a in partners.get((outer, 0, m), ())]
+        else:
+            values = [(x, y, c) for m in cell for c in partners.get((outer, 1, m), ())]
+        for vals in values:
+            bound: dict = {}
+            if all(bound.setdefault(var, val) == val for var, val in zip(variables, vals)):
+                yield tuple(bound[v] for v in range(len(bound)))
+
+
+def _value(monomial: tuple, tables: dict, t: tuple) -> dict:
+    _, shape, outer, inner, variables = monomial
+    x, y, *z = (t[v] for v in variables)
+    if shape == "cell":
+        return tables[inner].get((x, y), _EMPTY)
+    if shape == "left":
+        return _act_left(tables[outer], x, tables[inner].get((y, z[0]), _EMPTY))
+    return _act_right(tables[outer], tables[inner].get((x, y), _EMPTY), z[0])
+
+
+def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
+    """Evaluate each group of rows at the index tuples its nonzero cells reach.
+
+    The tuples are visited in lexicographic order, so the violations come
+    out as a loop over all basis tuples would list them.
+    """
+    partners: dict = {}  # (table, 0, m) -> [a : (a, m) nonzero], (table, 1, m) -> [c : (m, c) nonzero]
+    for name, table in tables.items():
+        for a, c in table:
+            partners.setdefault((name, 0, c), []).append(a)
+            partners.setdefault((name, 1, a), []).append(c)
+    violations = []
+    zero = Fraction(0)  # one shared object for the zero entries of every residual
+    for group in groups:
+        candidates = {t for _, monomials, _ in group for mono in monomials
+                      for t in _candidates(mono, tables, partners)}
+        for t in sorted(candidates):
+            for axiom, monomials, keep in group:
+                if keep and not keep(*t):
+                    continue
+                acc: dict = {}
+                for mono in monomials:
+                    _add_scaled(acc, mono[0], _value(mono, tables, t))
+                if acc:
+                    residual = tuple(acc.get(k, zero) for k in range(dim))
+                    violations.append(Violation(axiom, tuple(i + 1 for i in t), residual))
+    return tuple(violations)
 
 
 def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
@@ -200,42 +284,9 @@ def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
     "symmetric-leibniz" (adds the second Leibniz identity
     [[x,y],z] = [x,[y,z]] − [y,[x,z]]).
     """
-    bk = a.bracket
-    n = a.dim
-    ch = _Checker(n)
-    if variety not in ("leibniz", "lie", "ronco", "symmetric-leibniz"):
+    if variety not in _VARIETY_GROUPS:
         raise ValueError(f"unknown variety: {variety!r}")
-    _check_leibniz(ch, bk)
-    if variety == "lie":
-        for i in range(n):
-            ch.require_zero("alternating", (i,), dict(a.cell(i, i)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = dict(a.cell(i, j))
-                _add_scaled(acc, Fraction(1), a.cell(j, i))
-                ch.require_zero("antisymmetry", (i, j), acc)
-    elif variety == "ronco":
-        # [[e_i,e_j],e_k] + [[e_j,e_i],e_k] = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = _act_right(bk, a.cell(i, j), k)
-                    _add_scaled(acc, Fraction(1), _act_right(bk, a.cell(j, i), k))
-                    ch.require_zero("polarized-square-bracket", (i, j, k), acc)
-        # [[e_i,e_i],e_j] = 0
-        for i in range(n):
-            for j in range(n):
-                ch.require_zero("square-bracket", (i, j), _act_right(bk, a.cell(i, i), j))
-    elif variety == "symmetric-leibniz":
-        # [[e_i,e_j],e_k] - [e_i,[e_j,e_k]] + [e_j,[e_i,e_k]] = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = _act_right(bk, a.cell(i, j), k)
-                    _add_scaled(acc, Fraction(-1), _act_left(bk, i, a.cell(j, k)))
-                    _add_scaled(acc, Fraction(1), _act_left(bk, j, a.cell(i, k)))
-                    ch.require_zero("right-leibniz", (i, j, k), acc)
-    return VerificationReport(variety, tuple(ch.violations))
+    return VerificationReport(variety, _check(a.dim, {"b": a.bracket}, _VARIETY_GROUPS[variety]))
 
 
 def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
@@ -248,55 +299,9 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
     of (x,y,z) ↦ x{y,z} is reported as a derived check; with
     `symmetric=True` the stronger identity x{y,z} = 0 is required.
     """
-    n = m.dim
-    lie, prod = m.lie_bracket, m.product
-    ch = _Checker(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = dict(m.product_cell(i, j))
-            _add_scaled(acc, Fraction(-1), m.product_cell(j, i))
-            ch.require_zero("commutative", (i, j), acc)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ch.require_zero("triple-product-right", (i, j, k), _act_left(prod, i, m.product_cell(j, k)))
-                ch.require_zero("triple-product-left", (i, j, k), _act_right(prod, m.product_cell(i, j), k))
-    for i in range(n):
-        ch.require_zero("bracket-alternating", (i,), dict(m.lie_cell(i, i)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = dict(m.lie_cell(i, j))
-            _add_scaled(acc, Fraction(1), m.lie_cell(j, i))
-            ch.require_zero("bracket-antisymmetry", (i, j), acc)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ch.require_zero("product-bracket", (i, j, k), _act_right(lie, m.product_cell(i, j), k))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # {e_i,{e_j,e_k}} + {e_k,{e_i,e_j}} + {e_j,{e_k,e_i}} - e_i{e_j,e_k}
-                acc = _act_left(lie, i, m.lie_cell(j, k))
-                _add_scaled(acc, Fraction(1), _act_left(lie, k, m.lie_cell(i, j)))
-                _add_scaled(acc, Fraction(1), _act_left(lie, j, m.lie_cell(k, i)))
-                _add_scaled(acc, Fraction(-1), _act_left(prod, i, m.lie_cell(j, k)))
-                ch.require_zero("coupled-jacobi", (i, j, k), acc)
-    if symmetric:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ch.require_zero("symmetric", (i, j, k), _act_left(prod, i, m.lie_cell(j, k)))
-    # derived consequence: x{y,z} is skew-symmetric in (x, y)
-    for i in range(n):
-        for j in range(n):
-            ch.require_zero("skew-action", (i, j), _act_left(prod, i, m.lie_cell(i, j)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = _act_left(prod, i, m.lie_cell(j, k))
-                _add_scaled(acc, Fraction(1), _act_left(prod, j, m.lie_cell(i, k)))
-                ch.require_zero("skew-action-polarized", (i, j, k), acc)
-    return VerificationReport("mu-symmetric" if symmetric else "mu", tuple(ch.violations))
+    groups = [g for g in _MU_GROUPS if symmetric or g[0][0] != "symmetric"]
+    tables = {"l": m.lie_bracket, "p": m.product}
+    return VerificationReport("mu-symmetric" if symmetric else "mu", _check(m.dim, tables, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +315,13 @@ def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     half = Fraction(1, 2)
     lie: dict = {}
     prod: dict = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            fwd, rev = a.cell(i, j), a.cell(j, i)
-            anti: dict = {}
-            _add_scaled(anti, half, fwd)
-            _add_scaled(anti, -half, rev)
-            if anti:
-                lie[(i, j)] = anti
-            sym: dict = {}
-            _add_scaled(sym, half, fwd)
-            _add_scaled(sym, half, rev)
-            if sym:
-                prod[(i, j)] = sym
+    for i, j in sorted(a.bracket.keys() | {(j, i) for i, j in a.bracket}):
+        for table, sign in ((lie, -half), (prod, half)):
+            acc: dict = {}
+            _add_scaled(acc, half, a.cell(i, j))
+            _add_scaled(acc, sign, a.cell(j, i))
+            if acc:
+                table[(i, j)] = acc
     return MuAlgebra(a.dim, lie, prod)
 
 
@@ -332,12 +331,11 @@ def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
     if not report.ok:
         raise NotInVarietyError("input does not satisfy the bracket/product axioms", report)
     bracket: dict = {}
-    for i in range(m.dim):
-        for j in range(m.dim):
-            acc = dict(m.lie_cell(i, j))
-            _add_scaled(acc, Fraction(1), m.product_cell(i, j))
-            if acc:
-                bracket[(i, j)] = acc
+    for i, j in sorted(m.lie_bracket.keys() | m.product.keys()):
+        acc = dict(m.lie_cell(i, j))
+        _add_scaled(acc, Fraction(1), m.product_cell(i, j))
+        if acc:
+            bracket[(i, j)] = acc
     return StructureAlgebra(m.dim, bracket)
 
 
@@ -355,12 +353,11 @@ def ann_subspace(a: StructureAlgebra) -> list[tuple[Fraction, ...]]:
 
 def _ann_span(a: StructureAlgebra) -> SpanBuilder:
     sb = SpanBuilder(a.dim)
-    for i in range(a.dim):
-        for j in range(i, a.dim):
-            acc = dict(a.cell(i, j))
-            _add_scaled(acc, Fraction(1), a.cell(j, i))
-            if acc:
-                sb.add(acc)
+    for i, j in sorted({(min(key), max(key)) for key in a.bracket}):
+        acc = dict(a.cell(i, j))
+        _add_scaled(acc, Fraction(1), a.cell(j, i))
+        if acc:
+            sb.add(acc)
     return sb
 
 

@@ -194,6 +194,47 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_json_booleans_are_not_integers(tmp_path, capsys):
+    # read as the integer 1, each of these would be a valid algebra
+    good = {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1"}]}]}
+    bad = [dict(good, dim=True)]
+    for field in ("i", "j"):
+        bad.append(dict(good, bracket=[dict(good["bracket"][0], **{field: True})]))
+    bad.append(dict(good, bracket=[dict(good["bracket"][0], c=[{"k": True, "v": "1"}])]))
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(good))
+    assert run(capsys, ["verify", "--variety", "leibniz", str(path)])[0] == 0
+    for obj in bad:
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, ["verify", "--variety", "leibniz", str(path)])
+        assert (code, out) == (2, ""), obj
+        assert err.startswith("error:"), obj
+
+
+def test_empty_large_algebra_is_instant(tmp_path):
+    # the checks visit only tuples reached from nonzero cells, so an empty
+    # dim-100000 table costs nothing; a dense loop would never finish
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 100000, "kind": "leibniz", "bracket": []}')
+    big_mu = tmp_path / "big-mu.json"
+    big_mu.write_text(json.dumps({
+        "dim": 100000, "kind": "mu", "product": [],
+        "lie_bracket": [{"i": 1, "j": 2, "c": [{"k": 3, "v": "1"}]},
+                        {"i": 2, "j": 1, "c": [{"k": 3, "v": "-1"}]}],
+    }))
+    cases = [
+        (["verify", "--variety", "ronco", str(big)], "OK: ronco verified, no violations\n"),
+        (["verify", "--variety", "lie", str(big)], "OK: lie verified, no violations\n"),
+        (["convert", "--to", "mu", str(big)],
+         '{\n  "dim": 100000,\n  "kind": "mu",\n  "lie_bracket": [],\n  "product": []\n}\n'),
+        (["verify", "--variety", "mu", str(big_mu)], "OK: mu verified, no violations\n"),
+    ]
+    for argv, expected in cases:
+        result = subprocess.run([sys.executable, "-m", "roncoalg", *argv],
+                                capture_output=True, text=True, timeout=10)
+        assert (result.returncode, result.stdout) == (0, expected), argv
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

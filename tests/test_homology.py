@@ -1,6 +1,9 @@
 """Homology functors, cross-checked against a naive dense construction
 of the same chain complexes."""
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -278,3 +281,24 @@ def test_h1_adjoint_representatives():
 def test_h1_adjoint_requires_lie():
     with pytest.raises(NotInVarietyError):
         h1_adjoint(truncate_to_structure(2, 3))
+
+
+def test_invariant_checks_survive_python_O():
+    # under -O every assert is stripped; the invariant checks must still run
+    program = textwrap.dedent("""
+        from roncoalg import homology
+        from roncoalg.errors import InternalError
+        from roncoalg.structure import free_nil2
+        if __debug__:
+            raise SystemExit("not running under -O")
+        print(homology.hl1(free_nil2(3)).dimension)
+        homology.quotient_dim = lambda *args: -1
+        try:
+            homology.hl1(free_nil2(3))
+        except InternalError as exc:
+            print(f"InternalError: {exc}")
+    """)
+    result = subprocess.run([sys.executable, "-O", "-c", program],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "3\nInternalError: hl1: quotient dimension differs from the span rank\n"

@@ -1,0 +1,121 @@
+"""The table-driven identity checks and the sparse conversions, compared
+report for report with the dense loops kept in `structure_oracle`."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import structure_oracle as oracle
+from roncoalg.ronco import truncate_to_structure
+from roncoalg.structure import (
+    MuAlgebra,
+    StructureAlgebra,
+    _ann_span,
+    cross_product,
+    free_nil2,
+    mu_to_ronco,
+    ronco_to_mu,
+    verify_mu,
+    verify_variety,
+)
+
+ONE = Fraction(1)
+VARIETIES = ("leibniz", "lie", "ronco", "symmetric-leibniz")
+COEFFICIENTS = st.sampled_from([Fraction(c) for c in ("-2", "-1", "-1/2", "1/3", "1", "3/2")])
+
+
+@st.composite
+def tables(draw, keys: range, values: range, symmetry=st.sampled_from([0, 1, -1])):
+    """A sparse table with cells (i, j) over `keys` and entries over `values`.
+
+    symmetry 1 or -1 makes the table symmetric or antisymmetric, so that
+    some of the identities hold and others fail.
+    """
+    if not keys or not values:
+        return {}
+    cells = st.dictionaries(st.sampled_from(values), COEFFICIENTS, min_size=1, max_size=2)
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
+    table = draw(st.dictionaries(pairs, cells, max_size=2 * len(keys)))
+    sign = draw(symmetry)
+    if sign:
+        for (i, j), cell in list(table.items()):
+            table[(j, i)] = cell if i == j else {k: sign * v for k, v in cell.items()}
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_variety_matches_oracle(data):
+    dim = data.draw(st.integers(1, 5))
+    a = StructureAlgebra(dim, data.draw(tables(range(dim), range(dim))))
+    for variety in VARIETIES:
+        assert verify_variety(a, variety) == oracle.verify_variety(a, variety)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_verify_mu_matches_oracle(data, symmetric):
+    dim = data.draw(st.integers(1, 5))
+    m = MuAlgebra(dim, data.draw(tables(range(dim), range(dim), st.sampled_from([0, -1]))),
+                  data.draw(tables(range(dim), range(dim), st.sampled_from([0, 1]))))
+    assert verify_mu(m, symmetric) == oracle.verify_mu(m, symmetric)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_conversions_match_oracle(data):
+    # brackets of the first `low` basis vectors land in the rest, which
+    # brackets to zero: a 2-step nilpotent Leibniz algebra, so in 'ronco'
+    dim = data.draw(st.integers(1, 5))
+    low = data.draw(st.integers(0, dim))
+    a = StructureAlgebra(dim, data.draw(tables(range(low), range(low, dim))))
+    m = ronco_to_mu(a)
+    assert m == oracle.split_bracket(a)
+    assert mu_to_ronco(m) == oracle.recombine(m) == a
+    assert _ann_span(a).basis() == oracle.ann_span(a).basis()
+
+
+def test_stock_algebras_match_oracle():
+    algebras = [free_nil2(3), cross_product(), StructureAlgebra(2)]
+    algebras += [truncate_to_structure(g, d) for g, d in ((1, 2), (2, 2), (2, 3), (1, 4))]
+    for a in algebras:
+        for variety in VARIETIES:
+            assert verify_variety(a, variety) == oracle.verify_variety(a, variety)
+        m = oracle.split_bracket(a)
+        for symmetric in (False, True):
+            assert verify_mu(m, symmetric) == oracle.verify_mu(m, symmetric)
+
+
+def listing(report):
+    return [(v.axiom, v.indices) for v in report.violations]
+
+
+def test_repeated_variable_axioms():
+    # [e1,e1] = e2 and [e2,e1] = e1: [[e1,e1],e1] = e1
+    a = StructureAlgebra(2, {(0, 0): {1: ONE}, (1, 0): {0: ONE}})
+    report = verify_variety(a, "ronco")
+    assert report == oracle.verify_variety(a, "ronco")
+    assert [v for v in listing(report) if v[0] == "square-bracket"] == [("square-bracket", (1, 1))]
+    report = verify_variety(a, "lie")
+    assert report == oracle.verify_variety(a, "lie")
+    assert [v for v in listing(report) if v[0] == "alternating"] == [("alternating", (1,))]
+    # {e1,e2} = e3 and e1·e3 = e4: e1{e1,e2} = e4
+    m = MuAlgebra(4, lie_bracket={(0, 1): {2: ONE}, (1, 0): {2: -ONE}},
+                  product={(0, 2): {3: ONE}, (2, 0): {3: ONE}})
+    report = verify_mu(m)
+    assert report == oracle.verify_mu(m)
+    assert [v for v in listing(report) if v[0] == "skew-action"] == [("skew-action", (1, 2))]
+
+
+def test_triple_product_violations_interleave_per_tuple():
+    # e1·e1 = e2 and e2·e1 = e1
+    m = MuAlgebra(2, product={(0, 0): {1: ONE}, (1, 0): {0: ONE}})
+    report = verify_mu(m)
+    assert report == oracle.verify_mu(m)
+    assert [v for v in listing(report) if v[0].startswith("triple-product")] == [
+        ("triple-product-left", (1, 1, 1)),
+        ("triple-product-right", (1, 2, 1)),
+        ("triple-product-left", (2, 1, 1)),
+        ("triple-product-right", (2, 2, 1)),
+    ]
