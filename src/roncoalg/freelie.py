@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .errors import DegreeOverflowError, NotLieElementError
+from .errors import DegreeOverflowError, InternalError, NotLieElementError
 from .lincomb import LinComb
 
 Word = tuple[int, ...]
@@ -87,7 +87,8 @@ def witt_dim(d: int, n: int) -> int:
     for k in range(1, n + 1):
         if n % k == 0:
             total += _mobius(n // k) * d**k
-    assert total % n == 0
+    if total % n:
+        raise InternalError(f"witt_dim: necklace count {total} is not divisible by {n}")
     return total // n
 
 
@@ -117,9 +118,10 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
         v = word[i:]
         if is_lyndon(v):
             u = word[:i]
-            assert is_lyndon(u)
+            if not is_lyndon(u):
+                raise InternalError(f"standard_factorization: prefix {u} of {word} is not Lyndon")
             return u, v
-    raise AssertionError("unreachable: every Lyndon word has a Lyndon proper suffix")
+    raise InternalError("unreachable: every Lyndon word has a Lyndon proper suffix")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,14 @@ Index conventions: tensor square (i,j) ↦ i·dim+j; tensor cube likewise
 lexicographic; symmetric-square keys i ≤ j in lexicographic order; wedge
 keys i < j in lexicographic order; m⊗x chains put the module factor first.
 
-Every boundary map is checked against the next map (the composite must be
-exactly zero) before any rank is subtracted; a failure is an internal bug,
-not bad input, and raises InternalError (under `python -O` as well).
+Each functor only builds its chain data; two helpers do the linear algebra.
+`_quotient` (hl1, hr0) spans the relations once and keeps the basis vectors
+off the pivot columns.  `_homology` (hl2, h1_adjoint) checks that the
+outgoing boundary kills every incoming boundary (∂∘∂ = 0), spans the
+boundaries, and keeps the kernel vectors that enlarge that span; it then
+checks that boundaries and kept cycles span the whole kernel.  A failed
+check is an internal bug, not bad input, and raises InternalError (under
+`python -O` as well).
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterable
 
 from .errors import InternalError, NotInVarietyError
-from .linalg import SparseMatrix, SpanBuilder, quotient_dim, rank_and_kernel
+from .linalg import SparseMatrix, SpanBuilder, _add_scaled, _span, rank_and_kernel
 from .structure import StructureAlgebra, basis_vector, verify_variety
 
 
@@ -46,96 +52,51 @@ def _invariant(holds: bool, message: str):
         raise InternalError(message)
 
 
-def _bump(acc: dict, key, c: Fraction):
-    nv = acc.get(key, Fraction(0)) + c
-    if nv:
-        acc[key] = nv
-    else:
-        acc.pop(key, None)
+def _quotient(ambient: int, relations: Iterable[dict]) -> HomologyReport:
+    """The ambient space modulo the span of the relations."""
+    pivots = set(_span(ambient, filter(None, relations)).pivot_columns())
+    reps = tuple(basis_vector(ambient, i) for i in range(ambient) if i not in pivots)
+    return HomologyReport(len(reps), reps)
 
 
-def _dedupe(cols: list[dict]) -> list[dict]:
-    seen = set()
-    out = []
-    for col in cols:
-        if not col:
-            continue
-        key = frozenset(col.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(col)
-    return out
-
-
-def _dense(length: int, col: dict) -> tuple[Fraction, ...]:
-    vec = [Fraction(0)] * length
-    for k, v in col.items():
-        vec[k] = v
-    return tuple(vec)
-
-
-def _coset_representatives(ambient: int, span: SpanBuilder) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(basis_vector(ambient, i) for i in range(ambient) if i not in set(span.pivot_columns()))
+def _homology(op: str, d_out: SparseMatrix, boundaries: Iterable[dict]) -> HomologyReport:
+    """Ker d_out modulo the span of the boundaries (sparse chain vectors)."""
+    columns: list[dict] = [{} for _ in range(d_out.cols)]
+    for (i, j), v in d_out.entries.items():
+        columns[j][i] = v
+    span = SpanBuilder(d_out.cols)
+    for b in filter(None, boundaries):
+        out: dict = {}
+        for t, c in b.items():
+            _add_scaled(out, c, columns[t])
+        _invariant(not out, f"{op}: the boundary of a boundary is nonzero")
+        span.add(b)
+    _, kernel = rank_and_kernel(d_out)
+    reps = tuple(vec for vec in kernel if span.add(vec))
+    _invariant(span.rank == len(kernel), f"{op}: cycle rank differs from the kernel dimension")
+    return HomologyReport(len(reps), reps)
 
 
 def hl1(a: StructureAlgebra) -> HomologyReport:
     """Abelianization 𝔤/[𝔤,𝔤]; representatives are surviving basis vectors."""
     _require(a, "leibniz", "hl1")
-    span = SpanBuilder(a.dim)
-    relations = []
-    for key in sorted(a.bracket):
-        cell = a.bracket[key]
-        span.add(cell)
-        relations.append(_dense(a.dim, cell))
-    dimension = quotient_dim(a.dim, relations)
-    _invariant(dimension == a.dim - span.rank, "hl1: quotient dimension differs from the span rank")
-    reps = _coset_representatives(a.dim, span)
-    _invariant(len(reps) == dimension, "hl1: representative count differs from the dimension")
-    return HomologyReport(dimension, reps)
+    return _quotient(a.dim, a.bracket.values())
 
 
 def hl2(a: StructureAlgebra) -> HomologyReport:
     """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
     _require(a, "leibniz", "hl2")
     n = a.dim
-    bracket_entries: dict = {}
-    for (i, j), cell in a.bracket.items():
-        for m, c in cell.items():
-            bracket_entries[(m, i * n + j)] = c
-    bracket_matrix = SparseMatrix(n, n * n, bracket_entries)
+    bracket = SparseMatrix(n, n * n, {(m, i * n + j): c for (i, j), cell in a.bracket.items()
+                                      for m, c in cell.items()})
 
-    columns = []
-    for i, j, k in product(range(n), repeat=3):
-        col: dict = {}
-        for m, c in a.cell(i, j).items():
-            _bump(col, m * n + k, c)
-        for m, c in a.cell(i, k).items():
-            _bump(col, m * n + j, -c)
-        for m, c in a.cell(j, k).items():
-            _bump(col, i * n + m, -c)
-        if col:
-            columns.append(col)
-    columns = _dedupe(columns)
+    def boundary(i: int, j: int, k: int) -> dict:
+        col = {m * n + k: c for m, c in a.cell(i, j).items()}
+        _add_scaled(col, -1, {m * n + j: c for m, c in a.cell(i, k).items()})
+        _add_scaled(col, -1, {i * n + m: c for m, c in a.cell(j, k).items()})
+        return col
 
-    for col in columns:
-        out: dict = {}
-        for t, c in col.items():
-            i, j = divmod(t, n)
-            for m, v in a.cell(i, j).items():
-                _bump(out, m, c * v)
-        _invariant(not out, "hl2: boundary image escapes the bracket kernel")
-
-    _, kernel = rank_and_kernel(bracket_matrix)
-    span = SpanBuilder(n * n)
-    for col in columns:
-        span.add(col)
-    dimension = len(kernel) - span.rank
-    reps = []
-    for vec in kernel:
-        if span.add(vec):
-            reps.append(vec)
-    _invariant(len(reps) == dimension, "hl2: representative count differs from the dimension")
-    return HomologyReport(dimension, tuple(reps))
+    return _homology("hl2", bracket, (boundary(i, j, k) for i, j, k in product(range(n), repeat=3)))
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
@@ -148,25 +109,12 @@ def hr0(a: StructureAlgebra) -> HomologyReport:
     def sym(p: int, q: int) -> int:
         return index[(p, q) if p <= q else (q, p)]
 
-    columns = []
-    for i, j, k in product(range(n), repeat=3):
-        col: dict = {}
-        for m, c in a.cell(j, k).items():
-            _bump(col, sym(i, m), c)
-        for m, c in a.cell(i, j).items():
-            _bump(col, sym(m, k), -c)
-        if col:
-            columns.append(col)
-    columns = _dedupe(columns)
+    def relation(i: int, j: int, k: int) -> dict:
+        col = {sym(i, m): c for m, c in a.cell(j, k).items()}
+        _add_scaled(col, -1, {sym(m, k): c for m, c in a.cell(i, j).items()})
+        return col
 
-    dimension = quotient_dim(len(pairs), [_dense(len(pairs), col) for col in columns])
-    span = SpanBuilder(len(pairs))
-    for col in columns:
-        span.add(col)
-    _invariant(dimension == len(pairs) - span.rank, "hr0: quotient dimension differs from the span rank")
-    reps = _coset_representatives(len(pairs), span)
-    _invariant(len(reps) == dimension, "hr0: representative count differs from the dimension")
-    return HomologyReport(dimension, reps)
+    return _quotient(len(pairs), (relation(i, j, k) for i, j, k in product(range(n), repeat=3)))
 
 
 def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
@@ -178,44 +126,14 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     """
     _require(a, "lie", "h1_adjoint")
     n = a.dim
-    d1_entries: dict = {}
-    for m in range(n):
-        for x in range(n):
-            for p, c in a.cell(x, m).items():
-                d1_entries[(p, m * n + x)] = c
-    d1 = SparseMatrix(n, n * n, d1_entries)
+    d1 = SparseMatrix(n, n * n, {(p, m * n + x): c for m in range(n) for x in range(n)
+                                 for p, c in a.cell(x, m).items()})
 
-    wedges = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    columns = []
-    for m in range(n):
-        for x, y in wedges:
-            col: dict = {}
-            for p, c in a.cell(x, m).items():
-                _bump(col, p * n + y, c)
-            for p, c in a.cell(y, m).items():
-                _bump(col, p * n + x, -c)
-            for q, c in a.cell(x, y).items():
-                _bump(col, m * n + q, c)
-            if col:
-                columns.append(col)
-    columns = _dedupe(columns)
+    def boundary(m: int, x: int, y: int) -> dict:
+        col = {p * n + y: c for p, c in a.cell(x, m).items()}
+        _add_scaled(col, -1, {p * n + x: c for p, c in a.cell(y, m).items()})
+        _add_scaled(col, 1, {m * n + q: c for q, c in a.cell(x, y).items()})
+        return col
 
-    for col in columns:
-        out: dict = {}
-        for t, c in col.items():
-            m, x = divmod(t, n)
-            for p, v in a.cell(x, m).items():
-                _bump(out, p, c * v)
-        _invariant(not out, "h1_adjoint: d1∘d2 is nonzero")
-
-    _, kernel = rank_and_kernel(d1)
-    span = SpanBuilder(n * n)
-    for col in columns:
-        span.add(col)
-    dimension = len(kernel) - span.rank
-    reps = []
-    for vec in kernel:
-        if span.add(vec):
-            reps.append(vec)
-    _invariant(len(reps) == dimension, "h1_adjoint: representative count differs from the dimension")
-    return HomologyReport(dimension, tuple(reps))
+    return _homology("h1_adjoint", d1, (boundary(m, x, y) for m in range(n)
+                                        for x in range(n) for y in range(x + 1, n)))

@@ -1,13 +1,14 @@
 """Exact rational sparse matrices: rank, kernel, quotient dimensions.
 
-All elimination is fraction-free (Bareiss style): rows are scaled to
-integers once, then pivoting uses the exact cross-multiplication update
-``(p*a - b*c) // prev`` whose division is exact because intermediate
-entries are minors of the scaled matrix.  No floating point anywhere.
+One elimination engine serves everything: `SpanBuilder` keeps the reduced
+row echelon form (RREF) of a span over `Fraction`, one vector at a time.
+Ranks, kernels and quotient dimensions are read off it.  No floating point
+anywhere.
 
-Pivoting is deterministic: columns in increasing order, candidate rows
-scanned in index order.  Kernel vectors are emitted one per free column,
-free columns in increasing order, with the free coordinate set to 1.
+The result is deterministic: the RREF depends only on the span, and its
+pivots are the leading columns of the row space.  Kernel vectors are
+emitted one per free column, free columns in increasing order, with the
+free coordinate set to 1 and the other free coordinates set to 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -106,122 +106,22 @@ class SparseMatrix:
         return out
 
 
-def _integer_rows(m: SparseMatrix) -> list[dict]:
-    """Scale each row by the lcm of its denominators (rank/kernel preserved)."""
-    rows = []
-    for row in m.row_dicts():
-        if row:
-            scale = lcm(*(v.denominator for v in row.values()))
-            rows.append({j: int(v * scale) for j, v in row.items()})
-        else:
-            rows.append({})
-    return rows
+def _add_scaled(acc: dict, scale: Fraction, term: dict):
+    """acc += scale·term on sparse dicts; entries that cancel are dropped.
 
-
-def _bareiss_echelon(rows: list[dict], cols: int) -> tuple[list[int], list[dict]]:
-    """In-place fraction-free elimination.
-
-    Returns (pivot_cols, rows); rows[0:len(pivot_cols)] form an integer
-    echelon basis with pivot columns strictly increasing.  Every active row
-    is updated at every step (required for the Bareiss division to stay
-    exact), but zero entries never fill in for rows missing the pivot column.
+    `term` stores no zeros, as no sparse vector in this package does.
     """
-    nrows = len(rows)
-    pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(cols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i].get(col):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            c = row.pop(col, 0)
-            if c:
-                updated: dict = {}
-                for j in row.keys() | prow.keys():
-                    if j == col:
-                        continue
-                    val = (p * row.get(j, 0) - c * prow.get(j, 0)) // prev
-                    if val:
-                        updated[j] = val
-                rows[i] = updated
+    if not scale:
+        return
+    for k, v in term.items():
+        if k in acc:
+            nv = acc[k] + scale * v
+            if nv:
+                acc[k] = nv
             else:
-                for j in list(row):
-                    row[j] = p * row[j] // prev
-        pivot_cols.append(col)
-        prev = p
-        r += 1
-    return pivot_cols, rows
-
-
-def _echelon(m: SparseMatrix) -> tuple[list[int], list[dict]]:
-    return _bareiss_echelon(_integer_rows(m), m.cols)
-
-
-def rank(m: SparseMatrix) -> int:
-    # Deduplicating and dropping zero rows changes neither the row space
-    # nor therefore the rank.
-    seen = set()
-    rows = []
-    for row in _integer_rows(m):
-        if not row:
-            continue
-        key = frozenset(row.items())
-        if key not in seen:
-            seen.add(key)
-            rows.append(row)
-    pivots, _ = _bareiss_echelon(rows, m.cols)
-    return len(pivots)
-
-
-def rank_and_kernel(m: SparseMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Rank plus a deterministic basis of the right kernel.
-
-    Every returned vector v satisfies m·v = 0 exactly; vectors are indexed
-    by the free columns in increasing order, the free coordinate being 1.
-    """
-    pivot_cols, rows = _echelon(m)
-    r = len(pivot_cols)
-    kernel: list[tuple[Fraction, ...]] = []
-    free_cols = [j for j in range(m.cols) if j not in set(pivot_cols)]
-    for f in free_cols:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for k in range(r - 1, -1, -1):
-            pc = pivot_cols[k]
-            row = rows[k]
-            s = Fraction(0)
-            for j, v in row.items():
-                if j > pc and x[j]:
-                    s += v * x[j]
-            if s:
-                x[pc] = -s / row[pc]
-        kernel.append(tuple(x))
-    return r, kernel
-
-
-def quotient_dim(ambient_dim: int, relations: Sequence[Vector]) -> int:
-    """Dimension of the quotient of an ambient space by the span of relations."""
-    if ambient_dim < 0:
-        raise ValueError("ambient dimension must be nonnegative")
-    for i, rel in enumerate(relations):
-        if len(rel) != ambient_dim:
-            raise ValueError(
-                f"relation {i} has length {len(rel)}, expected ambient dimension {ambient_dim}"
-            )
-    if not relations:
-        return ambient_dim
-    return ambient_dim - rank(SparseMatrix.from_rows(relations, ambient_dim))
+                del acc[k]
+        else:
+            acc[k] = scale * v
 
 
 class SpanBuilder:
@@ -241,16 +141,10 @@ class SpanBuilder:
 
     def _reduce(self, vec) -> dict:
         row = {j: Fraction(v) for j, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
-        for pc in sorted(self._rows):
-            c = row.get(pc)
-            if c:
-                base = self._rows[pc]
-                for j, v in base.items():
-                    nv = row.get(j, Fraction(0)) - c * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
+        # Each basis row vanishes on every other pivot column, so clearing
+        # the pivots present in the input clears them all, in any order.
+        for pc in [j for j in row if j in self._rows]:
+            _add_scaled(row, -row[pc], self._rows[pc])
         return row
 
     def add(self, vec) -> bool:
@@ -264,12 +158,7 @@ class SpanBuilder:
         for other in self._rows.values():
             c = other.get(pc)
             if c:
-                for j, v in row.items():
-                    nv = other.get(j, Fraction(0)) - c * v
-                    if nv:
-                        other[j] = nv
-                    else:
-                        other.pop(j, None)
+                _add_scaled(other, -c, row)
         self._rows[pc] = row
         return True
 
@@ -297,3 +186,48 @@ class SpanBuilder:
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
+
+
+def _span(dim: int, vectors: Iterable) -> SpanBuilder:
+    span = SpanBuilder(dim)
+    for vec in vectors:
+        span.add(vec)
+    return span
+
+
+def rank(m: SparseMatrix) -> int:
+    return _span(m.cols, m.row_dicts()).rank
+
+
+def rank_and_kernel(m: SparseMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Rank plus a deterministic basis of the right kernel.
+
+    Every returned vector v satisfies m·v = 0 exactly; vectors are indexed
+    by the free columns in increasing order, the free coordinate being 1.
+    Read off the RREF: for free column f, x[f] = 1 and x[pc] = −row_pc[f].
+    """
+    span = _span(m.cols, m.row_dicts())
+    entries: dict = {f: {f: Fraction(1)} for f in range(m.cols) if f not in span._rows}
+    for pc, row in span._rows.items():
+        for f, v in row.items():
+            if f != pc:
+                entries[f][pc] = -v
+    kernel = []
+    for col in entries.values():
+        x = [Fraction(0)] * m.cols
+        for j, v in col.items():
+            x[j] = v
+        kernel.append(tuple(x))
+    return span.rank, kernel
+
+
+def quotient_dim(ambient_dim: int, relations: Sequence[Vector]) -> int:
+    """Dimension of the quotient of an ambient space by the span of relations."""
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
+    for i, rel in enumerate(relations):
+        if len(rel) != ambient_dim:
+            raise ValueError(
+                f"relation {i} has length {len(rel)}, expected ambient dimension {ambient_dim}"
+            )
+    return ambient_dim - _span(ambient_dim, relations).rank

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, _add_scaled
 
 _EMPTY: dict = {}
 
@@ -136,17 +136,6 @@ def _act_right(table: dict, vec: dict, j: int) -> dict:
     for m, c in vec.items():
         _add_scaled(out, c, table.get((m, j), _EMPTY))
     return out
-
-
-def _add_scaled(acc: dict, scale: Fraction, term: dict):
-    if not scale:
-        return
-    for k, v in term.items():
-        nv = acc.get(k, Fraction(0)) + scale * v
-        if nv:
-            acc[k] = nv
-        else:
-            del acc[k]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ Grammar (whitespace ignored everywhere):
 "*" binds tighter than "+"/"-"; brackets take two full terms, so there is
 no precedence ambiguity inside "[ , ]".  Scalars appear only as prefixes
 ("1/2*[g1,g2]"), never as standalone summands.
+
+The printer and the evaluator recurse on the tree, and "+"/"-" chains nest
+to the left, so a term may be at most MAX_TERM_DEPTH levels deep: each
+bracket, parenthesis, scalar prefix and chain link counts one level.
+Deeper input is a TermSyntaxError, not a RecursionError.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .errors import TermSyntaxError
+
+MAX_TERM_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,12 @@ Term = Union[Generator, Bracket, Scale, Sum, Diff]
 
 
 class _Parser:
+    """Recursive descent; each production returns (term, height of its tree)."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.level = 0  # open brackets, parentheses and scalar prefixes
 
     def error(self, message: str, pos: int | None = None):
         raise TermSyntaxError(message, (self.pos if pos is None else pos) + 1)
@@ -74,29 +84,40 @@ class _Parser:
             self.error(f"expected {ch!r}")
         self.pos += 1
 
+    def bounded(self, height: int) -> int:
+        """Reject a subtree once the open nesting plus its height passes the cap."""
+        if self.level + height > MAX_TERM_DEPTH:
+            self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels")
+        return height
+
+    def descend(self):
+        # Whatever follows has height >= 1.  Callers undo this with
+        # `self.level -= 1`; a helper taking the nested parse as an argument
+        # would add a stack frame per level.
+        self.level += 1
+        self.bounded(1)
+
     def parse(self) -> Term:
         self.skip_ws()
-        t = self.term()
+        t, _ = self.term()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
         return t
 
-    def term(self) -> Term:
-        left = self.atom()
+    def term(self) -> tuple[Term, int]:
+        left, height = self.atom()
         while True:
             self.skip_ws()
             op = self.peek()
-            if op == "+":
-                self.pos += 1
-                left = Sum((left, self.atom()))
-            elif op == "-":
-                self.pos += 1
-                left = Diff(left, self.atom())
-            else:
-                return left
+            if op not in ("+", "-"):
+                return left, height
+            self.pos += 1
+            right, right_height = self.atom()
+            left = Sum((left, right)) if op == "+" else Diff(left, right)
+            height = self.bounded(max(height, right_height) + 1)
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         self.skip_ws()
         ch = self.peek()
         if ch.isdigit() or (ch == "-" and self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit()):
@@ -105,25 +126,32 @@ class _Parser:
             if self.peek() != "*":
                 self.error("expected '*' after scalar")
             self.pos += 1
-            return Scale(coeff, self.atom())
+            self.descend()
+            term, height = self.atom()
+            self.level -= 1
+            return Scale(coeff, term), self.bounded(height + 1)
         return self.factor()
 
-    def factor(self) -> Term:
+    def factor(self) -> tuple[Term, int]:
         self.skip_ws()
         ch = self.peek()
         if ch == "g":
-            return self.generator()
+            return self.generator(), 1
         if ch == "[":
             self.pos += 1
-            left = self.term()
+            self.descend()
+            left, left_height = self.term()
             self.expect(",")
-            right = self.term()
+            right, right_height = self.term()
             self.expect("]")
-            return Bracket(left, right)
+            self.level -= 1
+            return Bracket(left, right), self.bounded(max(left_height, right_height) + 1)
         if ch == "(":
             self.pos += 1
+            self.descend()
             inner = self.term()
             self.expect(")")
+            self.level -= 1
             return inner
         self.error("expected generator, '[' or '('")
 

@@ -1,0 +1,184 @@
+"""Reference implementations of the exact elimination in `roncoalg.linalg`.
+
+These are the fraction-free (Bareiss) rank and kernel and the span builder
+that reduced by every pivot on every call, as `roncoalg.linalg` had them
+before all elimination moved onto the incremental reduced echelon form.
+They are kept, unchanged, only so that tests can compare the current
+engine against them result for result.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+from roncoalg.linalg import SparseMatrix, Vector
+
+
+def _integer_rows(m: SparseMatrix) -> list[dict]:
+    """Scale each row by the lcm of its denominators (rank/kernel preserved)."""
+    rows = []
+    for row in m.row_dicts():
+        if row:
+            scale = lcm(*(v.denominator for v in row.values()))
+            rows.append({j: int(v * scale) for j, v in row.items()})
+        else:
+            rows.append({})
+    return rows
+
+
+def _bareiss_echelon(rows: list[dict], cols: int) -> tuple[list[int], list[dict]]:
+    """In-place fraction-free elimination.
+
+    Returns (pivot_cols, rows); rows[0:len(pivot_cols)] form an integer
+    echelon basis with pivot columns strictly increasing.
+    """
+    nrows = len(rows)
+    pivot_cols: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(cols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if rows[i].get(col):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            c = row.pop(col, 0)
+            if c:
+                updated: dict = {}
+                for j in row.keys() | prow.keys():
+                    if j == col:
+                        continue
+                    val = (p * row.get(j, 0) - c * prow.get(j, 0)) // prev
+                    if val:
+                        updated[j] = val
+                rows[i] = updated
+            else:
+                for j in list(row):
+                    row[j] = p * row[j] // prev
+        pivot_cols.append(col)
+        prev = p
+        r += 1
+    return pivot_cols, rows
+
+
+def rank(m: SparseMatrix) -> int:
+    seen = set()
+    rows = []
+    for row in _integer_rows(m):
+        if not row:
+            continue
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            rows.append(row)
+    pivots, _ = _bareiss_echelon(rows, m.cols)
+    return len(pivots)
+
+
+def rank_and_kernel(m: SparseMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
+    pivot_cols, rows = _bareiss_echelon(_integer_rows(m), m.cols)
+    r = len(pivot_cols)
+    kernel: list[tuple[Fraction, ...]] = []
+    free_cols = [j for j in range(m.cols) if j not in set(pivot_cols)]
+    for f in free_cols:
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for k in range(r - 1, -1, -1):
+            pc = pivot_cols[k]
+            row = rows[k]
+            s = Fraction(0)
+            for j, v in row.items():
+                if j > pc and x[j]:
+                    s += v * x[j]
+            if s:
+                x[pc] = -s / row[pc]
+        kernel.append(tuple(x))
+    return r, kernel
+
+
+def quotient_dim(ambient_dim: int, relations: Sequence[Vector]) -> int:
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
+    for i, rel in enumerate(relations):
+        if len(rel) != ambient_dim:
+            raise ValueError(
+                f"relation {i} has length {len(rel)}, expected ambient dimension {ambient_dim}"
+            )
+    if not relations:
+        return ambient_dim
+    return ambient_dim - rank(SparseMatrix.from_rows(relations, ambient_dim))
+
+
+class SpanBuilder:
+    """Reduced echelon span that reduces by every pivot, in order, on each call."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._rows: dict[int, dict] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec) -> dict:
+        row = {j: Fraction(v) for j, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        for pc in sorted(self._rows):
+            c = row.get(pc)
+            if c:
+                base = self._rows[pc]
+                for j, v in base.items():
+                    nv = row.get(j, Fraction(0)) - c * v
+                    if nv:
+                        row[j] = nv
+                    else:
+                        row.pop(j, None)
+        return row
+
+    def add(self, vec) -> bool:
+        row = self._reduce(vec)
+        if not row:
+            return False
+        pc = min(row)
+        lead = row[pc]
+        row = {j: v / lead for j, v in row.items()}
+        for other in self._rows.values():
+            c = other.get(pc)
+            if c:
+                for j, v in row.items():
+                    nv = other.get(j, Fraction(0)) - c * v
+                    if nv:
+                        other[j] = nv
+                    else:
+                        other.pop(j, None)
+        self._rows[pc] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    def reduce(self, vec) -> dict:
+        return self._reduce(vec)
+
+    def basis(self) -> list[tuple[Fraction, ...]]:
+        out = []
+        for pc in sorted(self._rows):
+            row = self._rows[pc]
+            dense = [Fraction(0)] * self.dim
+            for j, v in row.items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return out
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._rows)

@@ -242,6 +242,22 @@ def test_unknown_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
+DEEP_TERMS = {
+    "brackets": "[" * 3000 + "g1,g2" + "],g2" * 2999 + "]",
+    "sum": "+".join(["g1"] * 3000),
+    "scalars": "2*" * 3000 + "g1",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TERMS))
+@pytest.mark.parametrize("command", ["ronco-eval", "leib-bracket"])
+def test_deep_terms_exit_2(capsys, command, shape):
+    code, out, err = run(capsys, [command, "--gens", "2", "--expr", DEEP_TERMS[shape]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: term nested deeper than 200 levels (at position ")
+    assert err.count("\n") == 1
+
+
 DEG9 = "[[[[[[[[g1,g2],g2],g2],g2],g2],g2],g2],g2]"
 
 

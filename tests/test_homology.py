@@ -284,21 +284,39 @@ def test_h1_adjoint_requires_lie():
 
 
 def test_invariant_checks_survive_python_O():
-    # under -O every assert is stripped; the invariant checks must still run
+    # under -O every assert is stripped; the invariant checks must still run.
+    # A kernel basis missing a vector leaves boundaries plus kept cycles short
+    # of the whole kernel, which the cycle-rank check reports; a wrong Möbius
+    # function makes a Witt dimension non-integral.
     program = textwrap.dedent("""
-        from roncoalg import homology
+        from roncoalg import freelie, homology
         from roncoalg.errors import InternalError
         from roncoalg.structure import free_nil2
         if __debug__:
             raise SystemExit("not running under -O")
-        print(homology.hl1(free_nil2(3)).dimension)
-        homology.quotient_dim = lambda *args: -1
+        print(homology.hl2(free_nil2(3)).dimension)
+        full_rank_and_kernel = homology.rank_and_kernel
+
+        def short_rank_and_kernel(m):
+            r, kernel = full_rank_and_kernel(m)
+            return r, kernel[:-1]
+
+        homology.rank_and_kernel = short_rank_and_kernel
         try:
-            homology.hl1(free_nil2(3))
+            homology.hl2(free_nil2(3))
+        except InternalError as exc:
+            print(f"InternalError: {exc}")
+        freelie._mobius = lambda n: 1
+        try:
+            freelie.witt_dim(2, 3)
         except InternalError as exc:
             print(f"InternalError: {exc}")
     """)
     result = subprocess.run([sys.executable, "-O", "-c", program],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "3\nInternalError: hl1: quotient dimension differs from the span rank\n"
+    assert result.stdout == (
+        "15\n"
+        "InternalError: hl2: cycle rank differs from the kernel dimension\n"
+        "InternalError: witt_dim: necklace count 10 is not divisible by 3\n"
+    )

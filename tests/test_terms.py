@@ -13,6 +13,7 @@ from roncoalg.terms import (
     Scale,
     Sum,
     evaluate,
+    MAX_TERM_DEPTH,
     format_term,
     parse_term,
 )
@@ -112,3 +113,20 @@ def test_evaluate_respects_grouping():
     lhs = evaluate(parse_term("[g1 + g2,g3]"), lie_generator, lie_bracket)
     rhs = evaluate(parse_term("[g1,g3] + [g2,g3]"), lie_generator, lie_bracket)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("deepest", [
+    lambda k: "+".join(["g1"] * k),                       # a chain of k summands
+    lambda k: "2*" * (k - 1) + "g1",                      # k - 1 scalar prefixes
+    lambda k: "[" * (k - 1) + "g1,g2" + "],g2" * (k - 2) + "]",  # k - 1 brackets
+    lambda k: "(" * (k - 1) + "g1" + ")" * (k - 1),       # k - 1 parentheses
+])
+def test_depth_cap(deepest):
+    # a tree of height MAX_TERM_DEPTH still prints, reparses and evaluates
+    tree = parse_term(deepest(MAX_TERM_DEPTH))
+    assert parse_term(format_term(tree)) == tree
+    evaluate(tree, lie_generator, lambda a, b: lie_generator(1))
+    # one level more is a syntax error, however deep the input goes
+    for k in (MAX_TERM_DEPTH + 1, 3000):
+        with pytest.raises(TermSyntaxError, match=f"nested deeper than {MAX_TERM_DEPTH} levels"):
+            parse_term(deepest(k))
