@@ -3,8 +3,9 @@
 One subcommand per library operation; all output is deterministic.  Exit
 codes: 0 on success, 1 when a verification/precondition check fails (the
 violations are printed), 2 on input errors (bad flags, bad JSON, syntax
-errors, degree overflows).  The degree cap for bracket computations
-defaults to 8 and can be overridden with the RONCO_MAX_DEGREE variable.
+errors, degree overflows, oversized requests).  The degree cap for
+bracket computations defaults to 8 and can be overridden with the
+RONCO_MAX_DEGREE variable.
 """
 
 from __future__ import annotations
@@ -22,6 +23,22 @@ from .lincomb import format_lincomb
 from .linalg import format_rational
 from .structure import MuAlgebra, StructureAlgebra, free_nil2, verify_mu, verify_variety
 from .terms import parse_term
+
+
+# Largest basis one command may enumerate: the words `lyndon` lists, the
+# dimension of a `ronco-truncate` algebra, the d·W(d, n−1) columns of the
+# `graded-kernel` map.  Each is estimated from dimension formulas before any
+# work starts, and a larger one exits 2.  The generator count and the
+# degree are checked against the same limit first, because they bound the
+# cost of the estimate; past the limit, either one alone gives a larger
+# basis unless there is a single generator.  Near the limit a truncation
+# takes about 10 s (dimension 4150: 5 generators up to degree 6).
+MAX_BASIS_SIZE = 5000
+
+
+def _check_size(what: str, size: int):
+    if size > MAX_BASIS_SIZE:
+        raise RoncoError(f"{what} ({size}) exceeds the limit of {MAX_BASIS_SIZE}")
 
 
 def _max_degree() -> int:
@@ -59,6 +76,9 @@ def _print_violations(violations):
 
 
 def _cmd_lyndon(args) -> int:
+    _check_size("--gens", args.gens)
+    _check_size("--len", args.length)
+    _check_size("the number of Lyndon words", witt_dim(args.gens, args.length))
     for word in lyndon_words(args.gens, args.length):
         print(format_word(word, args.gens))
     return 0
@@ -93,7 +113,12 @@ def _cmd_ronco_dims(args) -> int:
 
 
 def _cmd_graded_kernel(args) -> int:
-    basis = ronco.graded_kernel_basis(args.gens, args.deg, _max_degree())
+    max_degree = _max_degree()
+    if args.deg <= max_degree:  # a larger degree is refused by the degree cap
+        _check_size("--gens", args.gens)
+        _check_size("--deg", args.deg)
+        _check_size("the domain of the bracket-to-Lie map", ronco.graded_dim(args.gens, args.deg))
+    basis = ronco.graded_kernel_basis(args.gens, args.deg, max_degree)
     obj = {
         "degree": args.deg,
         "dimension": len(basis),
@@ -104,7 +129,13 @@ def _cmd_graded_kernel(args) -> int:
 
 
 def _cmd_ronco_truncate(args) -> int:
-    algebra = ronco.truncate_to_structure(args.gens, args.max, _max_degree())
+    max_degree = _max_degree()
+    if args.max <= max_degree:  # a larger cutoff is refused by the degree cap
+        _check_size("--gens", args.gens)
+        _check_size("--max", args.max)
+        _check_size("the dimension of the truncation",
+                    sum(ronco.graded_dim(args.gens, n) for n in range(1, args.max + 1)))
+    algebra = ronco.truncate_to_structure(args.gens, args.max, max_degree)
     _emit(jsonio.dumps_algebra(algebra), args.output)
     return 0
 

@@ -2,14 +2,20 @@
 
 A Lie element is a `LinComb` whose keys are Lyndon words (tuples of 1-based
 generator indices); the basis element for a Lyndon word is its right
-standard bracketing, realized inside the tensor algebra by
-``[a, b] = a⊗b - b⊗a``.  A tensor element is a `LinComb` keyed by arbitrary
-words.  The Lyndon expansion is triangular (a Lyndon word maps to itself
-plus lexicographically larger words of the same degree), which makes
-`rewrite_to_lyndon` a plain back-substitution loop with no linear algebra.
+standard bracketing.  The bracket stays in these coordinates: two Lyndon
+words are bracketed by the classical rewriting of Lyndon brackets
+(Reutenauer, *Free Lie Algebras*, ch. 4-5), with integer coefficients and
+one cache entry per pair of words, and `lie_bracket` extends it bilinearly.
 
-Bracketing grows degree exponentially in cost, so the bracket accepts a
-degree cap (default 8) and refuses larger results.
+The tensor algebra, where ``[a, b] = a⊗b - b⊗a``, is kept for the
+embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon` and
+left-normed bracketings of tensor words.  A tensor element is a `LinComb`
+keyed by arbitrary words.  The Lyndon expansion is triangular (a Lyndon
+word maps to itself plus lexicographically larger words of the same
+degree), which makes `rewrite_to_lyndon` a plain back-substitution loop
+with no linear algebra.
+
+The bracket accepts a degree cap (default 8) and refuses larger results.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import DegreeOverflowError, InternalError, NotLieElementError
-from .lincomb import LinComb
+from .lincomb import LinComb, _add_scaled
 
 Word = tuple[int, ...]
 
@@ -159,14 +165,19 @@ def _expand_word(word: Word) -> LinComb:
     return tensor_commutator(_expand_word(u), _expand_word(v))
 
 
-def expand_to_tensor(x: LinComb) -> LinComb:
-    """Embed a Lie element into the tensor algebra via its standard bracketings."""
-    out = LinComb()
-    for word, c in x:
+def _require_lyndon(x: LinComb):
+    for word in x.keys():
         if not is_lyndon(word):
             raise ValueError(f"key {word} is not a Lyndon word")
-        out = out + _expand_word(word).scale(c)
-    return out
+
+
+def expand_to_tensor(x: LinComb) -> LinComb:
+    """Embed a Lie element into the tensor algebra via its standard bracketings."""
+    _require_lyndon(x)
+    out: dict = {}
+    for word, c in x:
+        _add_scaled(out, c, _expand_word(word).coeffs)
+    return LinComb._of(out)
 
 
 @cache
@@ -179,10 +190,10 @@ def _left_normed_word(word: Word) -> LinComb:
 
 def left_normed_tensor(t: LinComb) -> LinComb:
     """Replace every word by its left-normed bracketing, inside the tensor algebra."""
-    out = LinComb()
+    out: dict = {}
     for word, c in t:
-        out = out + _left_normed_word(word).scale(c)
-    return out
+        _add_scaled(out, c, _left_normed_word(word).coeffs)
+    return LinComb._of(out)
 
 
 def rewrite_to_lyndon(t: LinComb) -> LinComb:
@@ -222,15 +233,48 @@ def left_normed_bracketing(t: LinComb) -> LinComb:
     return rewrite_to_lyndon(left_normed_tensor(t))
 
 
+@cache
+def _lyndon_bracket(u: Word, v: Word) -> dict:
+    """[u, v] of two Lyndon words, as {Lyndon word: nonzero int}.
+
+    For u < v with standard factorization u = u1·u2, the word uv is Lyndon
+    with standard factorization (u, v) when u is a letter or u2 >= v;
+    otherwise Jacobi gives [u, v] = [[u1, v], u2] + [u1, [u2, v]], and the
+    classical rewriting recurses on those brackets.  The result is shared
+    through the cache and must not be mutated.
+    """
+    if u == v:
+        return {}
+    if u > v:
+        return {w: -c for w, c in _lyndon_bracket(v, u).items()}
+    if len(u) == 1:
+        return {u + v: 1}
+    u1, u2 = standard_factorization(u)
+    if u2 >= v:
+        return {u + v: 1}
+    out: dict = {}
+    for w, c in _lyndon_bracket(u1, v).items():
+        _add_scaled(out, c, _lyndon_bracket(w, u2))
+    for w, c in _lyndon_bracket(u2, v).items():
+        _add_scaled(out, c, _lyndon_bracket(u1, w))
+    return out
+
+
 def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
     """Bracket of two Lie elements in Lyndon coordinates.
 
-    Computed by expanding to the tensor algebra, commutating, and rewriting;
-    antisymmetric and Jacobi by construction.
+    Bilinear extension of `_lyndon_bracket` over the keys of x and y; the
+    tensor algebra is never visited.
     """
     if x.is_zero() or y.is_zero():
         return LinComb()
     total = element_degree(x) + element_degree(y)
     if total > max_degree:
         raise DegreeOverflowError(f"bracket of degree {total} exceeds the cap {max_degree}")
-    return rewrite_to_lyndon(tensor_commutator(expand_to_tensor(x), expand_to_tensor(y)))
+    _require_lyndon(x)
+    _require_lyndon(y)
+    out: dict = {}
+    for u, cu in x:
+        for v, cv in y:
+            _add_scaled(out, cu * cv, _lyndon_bracket(u, v))
+    return LinComb._of(out)

@@ -16,9 +16,10 @@ Each functor only builds its chain data; two helpers do the linear algebra.
 off the pivot columns.  `_homology` (hl2, h1_adjoint) checks that the
 outgoing boundary kills every incoming boundary (∂∘∂ = 0), spans the
 boundaries, and keeps the kernel vectors that enlarge that span; it then
-checks that boundaries and kept cycles span the whole kernel.  A failed
-check is an internal bug, not bad input, and raises InternalError (under
-`python -O` as well).
+checks that boundaries and kept cycles span the whole kernel, that rank
+and kernel dimension add up to the chain dimension, and that every kept
+cycle has zero boundary.  A failed check is an internal bug, not bad input,
+and raises InternalError (under `python -O` as well).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from itertools import product
 from typing import Iterable
 
 from .errors import InternalError, NotInVarietyError
-from .linalg import SparseMatrix, SpanBuilder, _add_scaled, _span, rank_and_kernel
+from .lincomb import _add_scaled
+from .linalg import SparseMatrix, SpanBuilder, _span, rank_and_kernel
 from .structure import StructureAlgebra, basis_vector, verify_variety
 
 
@@ -71,9 +73,13 @@ def _homology(op: str, d_out: SparseMatrix, boundaries: Iterable[dict]) -> Homol
             _add_scaled(out, c, columns[t])
         _invariant(not out, f"{op}: the boundary of a boundary is nonzero")
         span.add(b)
-    _, kernel = rank_and_kernel(d_out)
+    rank, kernel = rank_and_kernel(d_out)
     reps = tuple(vec for vec in kernel if span.add(vec))
     _invariant(span.rank == len(kernel), f"{op}: cycle rank differs from the kernel dimension")
+    _invariant(rank + len(kernel) == d_out.cols,
+               f"{op}: rank plus kernel dimension differs from the chain dimension")
+    for vec in reps:
+        _invariant(not any(d_out.mul_vector(vec)), f"{op}: a kept cycle has a nonzero boundary")
     return HomologyReport(len(reps), reps)
 
 

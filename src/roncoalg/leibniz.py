@@ -16,7 +16,7 @@ from functools import cache
 
 from .errors import DegreeOverflowError, UnknownGeneratorError
 from .freelie import DEFAULT_MAX_DEGREE, Word, element_degree
-from .lincomb import LinComb
+from .lincomb import LinComb, _add_scaled
 from . import terms
 
 
@@ -28,18 +28,21 @@ def leib_generator(i: int) -> LinComb:
 
 
 @cache
-def _word_bracket(left: Word, right: Word) -> LinComb:
+def _word_bracket(left: Word, right: Word) -> dict:
+    """[left, right] of two words, as {word: nonzero int}; shared, never mutated."""
     if len(right) == 1:
-        return LinComb.basis(left + right)
+        return {left + right: 1}
     head, last = right[:-1], right[-1:]
     # [w, head.last] = [[w, head], last] - [[w, last], head]
-    return _apply_right(_word_bracket(left, head), last) - _apply_right(_word_bracket(left, last), head)
+    out = _apply_right(_word_bracket(left, head), last)
+    _add_scaled(out, -1, _apply_right(_word_bracket(left, last), head))
+    return out
 
 
-def _apply_right(x: LinComb, right: Word) -> LinComb:
-    out = LinComb.zero()
-    for word, c in x:
-        out = out + _word_bracket(word, right).scale(c)
+def _apply_right(x: dict, right: Word) -> dict:
+    out: dict = {}
+    for word, c in x.items():
+        _add_scaled(out, c, _word_bracket(word, right))
     return out
 
 
@@ -52,11 +55,11 @@ def leib_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -
         raise DegreeOverflowError(
             f"bracket lands in degree {total}, above the cap {max_degree}"
         )
-    out = LinComb.zero()
+    out: dict = {}
     for wx, cx in x:
         for wy, cy in y:
-            out = out + _word_bracket(wx, wy).scale(cx * cy)
-    return out
+            _add_scaled(out, cx * cy, _word_bracket(wx, wy))
+    return LinComb._of(out)
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

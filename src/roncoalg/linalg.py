@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .lincomb import _add_scaled
+
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -104,24 +106,6 @@ class SparseMatrix:
             if c:
                 out[i] += v * c
         return out
-
-
-def _add_scaled(acc: dict, scale: Fraction, term: dict):
-    """acc += scale·term on sparse dicts; entries that cancel are dropped.
-
-    `term` stores no zeros, as no sparse vector in this package does.
-    """
-    if not scale:
-        return
-    for k, v in term.items():
-        if k in acc:
-            nv = acc[k] + scale * v
-            if nv:
-                acc[k] = nv
-            else:
-                del acc[k]
-        else:
-            acc[k] = scale * v
 
 
 class SpanBuilder:

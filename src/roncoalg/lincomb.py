@@ -23,6 +23,26 @@ from typing import Iterable, Iterator
 Scalar = int | Fraction
 
 
+def _add_scaled(acc: dict, scale: Scalar, term: dict):
+    """acc += scale·term on sparse dicts, in place; entries that cancel are dropped.
+
+    `term` stores no zeros, as no sparse vector in this package does.  The
+    one accumulation loop of the package: free-algebra brackets, structure
+    tables and elimination all add through it.
+    """
+    if not scale:
+        return
+    for k, v in term.items():
+        if k in acc:
+            nv = acc[k] + scale * v
+            if nv:
+                acc[k] = nv
+            else:
+                del acc[k]
+        else:
+            acc[k] = scale * v
+
+
 class LinComb:
     """Immutable-by-convention sparse linear combination."""
 
@@ -52,6 +72,13 @@ class LinComb:
     def zero(cls) -> "LinComb":
         return cls()
 
+    @classmethod
+    def _of(cls, data: dict) -> "LinComb":
+        """Adopt `data` without copying; it must hold only nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.coeffs = data
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -80,44 +107,22 @@ class LinComb:
 
     def __add__(self, other: "LinComb") -> "LinComb":
         data = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            c0 = data.get(key)
-            if c0 is None:
-                data[key] = c
-            elif c0 + c:
-                data[key] = c0 + c
-            else:
-                del data[key]
-        out = LinComb.__new__(LinComb)
-        out.coeffs = data
-        return out
+        _add_scaled(data, 1, other.coeffs)
+        return LinComb._of(data)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         data = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            c0 = data.get(key)
-            if c0 is None:
-                data[key] = -c
-            elif c0 - c:
-                data[key] = c0 - c
-            else:
-                del data[key]
-        out = LinComb.__new__(LinComb)
-        out.coeffs = data
-        return out
+        _add_scaled(data, -1, other.coeffs)
+        return LinComb._of(data)
 
     def __neg__(self) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out.coeffs = {key: -c for key, c in self.coeffs.items()}
-        return out
+        return LinComb._of({key: -c for key, c in self.coeffs.items()})
 
     def scale(self, scalar: Scalar) -> "LinComb":
         scalar = Fraction(scalar)
         if not scalar:
             return LinComb()
-        out = LinComb.__new__(LinComb)
-        out.coeffs = {key: scalar * c for key, c in self.coeffs.items()}
-        return out
+        return LinComb._of({key: scalar * c for key, c in self.coeffs.items()})
 
     def __rmul__(self, scalar: Scalar) -> "LinComb":
         return self.scale(scalar)

@@ -6,10 +6,18 @@ n >= 2 is (free Lie of degree n-1) ⊗ (generators).  Basis keys are pairs
 ``(lyndon_word, v)`` with ``lyndon_word = ()`` marking degree 1, so the
 degree of a key is always ``len(lyndon_word) + 1``.
 
-The bracket is computed through the free Leibniz algebra: `section` embeds
-into tensor words, `leib_bracket` multiplies there, and `project` maps a
-word w·v to (left-normed bracketing of w) ⊗ v.  This composite satisfies
-the direct rule [ξ⊗u, v] = [ξ, u]_Lie ⊗ v for right factors of degree 1.
+The bracket is computed on these keys, with integer coefficients.  Right
+multiplication kills squares in any Leibniz algebra, so [x, y] depends on
+y only through its image in the free Lie algebra, where (ℓ, v) ↦ [ℓ, g_v]
+and ((), v) ↦ g_v.  That image acts on the keys of x by right actions R:
+a generator by [ξ⊗u, g_v] = [ξ, u]_Lie ⊗ v and [g_u, g_v] = (u)⊗v, a longer
+Lyndon word ℓ = ℓ₁ℓ₂ (standard factorization) by R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂,
+which is the right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y].
+
+The same bracket is the composite through the free Leibniz algebra:
+`section` embeds into tensor words, `leib_bracket` multiplies there, and
+`project` maps a word w·v to (left-normed bracketing of w) ⊗ v.  The tests
+keep that composite as the reference for the direct bracket.
 
 `section` splits `project` exactly: a Lie tensor of degree n equals 1/n
 times its left-normed bracketing, so sending (ℓ, v) to
@@ -26,14 +34,16 @@ from .freelie import (
     DEFAULT_MAX_DEGREE,
     Word,
     _expand_word,
+    _lyndon_bracket,
     format_word,
+    is_lyndon,
     left_normed_bracketing,
     lie_bracket,
     lyndon_words,
+    standard_factorization,
     witt_dim,
 )
-from .leibniz import leib_bracket
-from .lincomb import LinComb
+from .lincomb import LinComb, _add_scaled
 from .linalg import SparseMatrix, rank_and_kernel
 from .structure import StructureAlgebra
 from . import terms
@@ -83,10 +93,10 @@ def _project_word(word: Word) -> LinComb:
 
 def project(x: LinComb) -> LinComb:
     """Quotient map from tensor words: v1⊗…⊗vn ↦ [[v1,…],v_{n-1}] ⊗ vn."""
-    out = LinComb.zero()
+    out: dict = {}
     for word, c in x:
-        out = out + _project_word(word).scale(c)
-    return out
+        _add_scaled(out, c, _project_word(word).coeffs)
+    return LinComb._of(out)
 
 
 @cache
@@ -103,20 +113,69 @@ def section(x: LinComb) -> LinComb:
     Sends (ℓ, v) to (1/|ℓ|)·expand(ℓ)⊗v; the 1/|ℓ| factor is exactly what
     the left-normed bracketing of a degree-|ℓ| Lie tensor multiplies by.
     """
-    out = LinComb.zero()
+    out: dict = {}
     for key, c in x:
-        out = out + _section_key(key).scale(c)
+        _add_scaled(out, c, _section_key(key).coeffs)
+    return LinComb._of(out)
+
+
+def _require_lyndon_keys(x: LinComb):
+    for word, v in x.keys():
+        if word and not is_lyndon(word):
+            raise ValueError(f"key {(word, v)} does not carry a Lyndon word")
+
+
+def _lie_image(y: LinComb) -> dict:
+    """Image in the free Lie algebra: (ℓ, v) ↦ [ℓ, g_v] and ((), v) ↦ g_v."""
+    out: dict = {}
+    for (word, v), c in y:
+        _add_scaled(out, c, _lyndon_bracket(word, (v,)) if word else {(v,): 1})
+    return out
+
+
+@cache
+def _right_action(key: RKey, word: Word) -> dict:
+    """R_ℓ(key) = [key, ℓ] for the Lie basis element of the Lyndon word ℓ.
+
+    Returned as {key: nonzero int}, shared through the cache; callers must
+    not mutate it.
+    """
+    if len(word) == 1:
+        xi, u = key
+        if not xi:
+            return {((u,), word[0]): 1}
+        return {(w, word[0]): c for w, c in _lyndon_bracket(xi, (u,)).items()}
+    first, second = standard_factorization(word)
+    out = _act(_right_action(key, first), second)
+    _add_scaled(out, -1, _act(_right_action(key, second), first))
+    return out
+
+
+def _act(x: dict, word: Word) -> dict:
+    out: dict = {}
+    for key, c in x.items():
+        _add_scaled(out, c, _right_action(key, word))
     return out
 
 
 def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
-    """Bracket of two elements in (lyndon_word, generator) coordinates."""
+    """Bracket of two elements in (lyndon_word, generator) coordinates.
+
+    The Lie image of y acts on the keys of x by right actions; the result
+    equals project(leib_bracket(section(x), section(y))).
+    """
     if x.is_zero() or y.is_zero():
         return LinComb.zero()
     total = element_degree(x) + element_degree(y)
     if total > max_degree:
         raise DegreeOverflowError(f"bracket of degree {total} exceeds the cap {max_degree}")
-    return project(leib_bracket(section(x), section(y), max_degree=max_degree))
+    _require_lyndon_keys(x)
+    _require_lyndon_keys(y)
+    out: dict = {}
+    for word, cw in _lie_image(y).items():
+        for key, cx in x:
+            _add_scaled(out, cx * cw, _right_action(key, word))
+    return LinComb._of(out)
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
-from .linalg import SpanBuilder, _add_scaled
+from .lincomb import _add_scaled
+from .linalg import SpanBuilder
 
 _EMPTY: dict = {}
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from roncoalg.cli import main
+from roncoalg.cli import MAX_BASIS_SIZE, main
 from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import free_nil2, ronco_to_mu
@@ -259,6 +259,31 @@ def test_deep_terms_exit_2(capsys, command, shape):
 
 
 DEG9 = "[[[[[[[[g1,g2],g2],g2],g2],g2],g2],g2],g2]"
+
+
+# Each request enumerates a basis far above the limit; unguarded, each ran
+# past a 5 s timeout.
+OVERSIZED = {
+    "lyndon": ["lyndon", "--gens", "50", "--len", "12"],
+    "ronco-truncate": ["ronco-truncate", "--gens", "6", "--max", "8"],
+    "graded-kernel": ["graded-kernel", "--gens", "8", "--deg", "8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_oversized_requests_exit_2(capsys, command):
+    code, out, err = run(capsys, OVERSIZED[command])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"exceeds the limit of {MAX_BASIS_SIZE}" in err
+
+
+def test_size_limit_boundary(capsys):
+    # 4080 Lyndon words of length 16 on 2 letters fit; a length past the
+    # limit is refused before its count is estimated.
+    code, out, _ = run(capsys, ["lyndon", "--gens", "2", "--len", "16"])
+    assert code == 0 and len(out.splitlines()) == 4080 <= MAX_BASIS_SIZE
+    code, out, err = run(capsys, ["lyndon", "--gens", "1", "--len", str(MAX_BASIS_SIZE + 1)])
+    assert (code, out) == (2, "") and "--len" in err
 
 
 def test_degree_cap_env_override(monkeypatch, capsys):

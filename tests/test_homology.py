@@ -320,3 +320,40 @@ def test_invariant_checks_survive_python_O():
         "InternalError: hl2: cycle rank differs from the kernel dimension\n"
         "InternalError: witt_dim: necklace count 10 is not divisible by 3\n"
     )
+
+
+def test_cycle_checks_survive_python_O():
+    # A kernel basis short of one vector, or holding a vector outside the
+    # kernel, can pass the cycle-rank check: dropping the first kernel vector
+    # of hl2(free_nil2(3)) used to give dimension 14 instead of 15 silently.
+    program = textwrap.dedent("""
+        from roncoalg import homology
+        from roncoalg.errors import InternalError
+        from roncoalg.structure import free_nil2
+        if __debug__:
+            raise SystemExit("not running under -O")
+        full_rank_and_kernel = homology.rank_and_kernel
+
+        def drop_first(m):
+            r, kernel = full_rank_and_kernel(m)
+            return r, kernel[1:]
+
+        def first_not_a_cycle(m):
+            r, kernel = full_rank_and_kernel(m)
+            j = min(j for _, j in m.entries)
+            return r, [tuple(int(t == j) for t in range(m.cols))] + kernel[1:]
+
+        for patch in (drop_first, first_not_a_cycle):
+            homology.rank_and_kernel = patch
+            try:
+                print(homology.hl2(free_nil2(3)).dimension)
+            except InternalError as exc:
+                print(f"InternalError: {exc}")
+    """)
+    result = subprocess.run([sys.executable, "-O", "-c", program],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "InternalError: hl2: rank plus kernel dimension differs from the chain dimension\n"
+        "InternalError: hl2: a kept cycle has a nonzero boundary\n"
+    )
