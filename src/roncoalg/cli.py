@@ -32,7 +32,7 @@ from .terms import parse_term
 # degree are checked against the same limit first, because they bound the
 # cost of the estimate; past the limit, either one alone gives a larger
 # basis unless there is a single generator.  Near the limit a truncation
-# takes about 10 s (dimension 4150: 5 generators up to degree 6).
+# takes about 3 s (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
 MAX_BASIS_SIZE = 5000
 
 

@@ -5,15 +5,15 @@ generator indices); the basis element for a Lyndon word is its right
 standard bracketing.  The bracket stays in these coordinates: two Lyndon
 words are bracketed by the classical rewriting of Lyndon brackets
 (Reutenauer, *Free Lie Algebras*, ch. 4-5), with integer coefficients and
-one cache entry per pair of words, and `lie_bracket` extends it bilinearly.
+one cache entry per pair of words; `lie_bracket` and the left-normed
+bracketing of words (one letter at a time) are built on it.
 
-The tensor algebra, where ``[a, b] = a⊗b - b⊗a``, is kept for the
-embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon` and
-left-normed bracketings of tensor words.  A tensor element is a `LinComb`
-keyed by arbitrary words.  The Lyndon expansion is triangular (a Lyndon
-word maps to itself plus lexicographically larger words of the same
-degree), which makes `rewrite_to_lyndon` a plain back-substitution loop
-with no linear algebra.
+The tensor algebra, where ``[a, b] = a⊗b - b⊗a``, serves only the
+embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon` and the
+section of the free square-identity algebra.  A tensor element is a
+`LinComb` keyed by arbitrary words.  The Lyndon expansion is triangular (a
+Lyndon word maps to itself plus lexicographically larger words of the same
+degree), which makes `rewrite_to_lyndon` a plain back-substitution loop.
 
 The bracket accepts a degree cap (default 8) and refuses larger results.
 """
@@ -180,22 +180,6 @@ def expand_to_tensor(x: LinComb) -> LinComb:
     return LinComb._of(out)
 
 
-@cache
-def _left_normed_word(word: Word) -> LinComb:
-    """Tensor expansion of the left-normed bracketing [[w1,w2],...,wn]."""
-    if len(word) == 1:
-        return LinComb.basis(word)
-    return tensor_commutator(_left_normed_word(word[:-1]), LinComb.basis((word[-1],)))
-
-
-def left_normed_tensor(t: LinComb) -> LinComb:
-    """Replace every word by its left-normed bracketing, inside the tensor algebra."""
-    out: dict = {}
-    for word, c in t:
-        _add_scaled(out, c, _left_normed_word(word).coeffs)
-    return LinComb._of(out)
-
-
 def rewrite_to_lyndon(t: LinComb) -> LinComb:
     """Inverse of `expand_to_tensor` on Lie elements.
 
@@ -228,11 +212,6 @@ def rewrite_to_lyndon(t: LinComb) -> LinComb:
     return LinComb(result)
 
 
-def left_normed_bracketing(t: LinComb) -> LinComb:
-    """Left-normed bracketing of a tensor element, as a Lie element."""
-    return rewrite_to_lyndon(left_normed_tensor(t))
-
-
 @cache
 def _lyndon_bracket(u: Word, v: Word) -> dict:
     """[u, v] of two Lyndon words, as {Lyndon word: nonzero int}.
@@ -258,6 +237,25 @@ def _lyndon_bracket(u: Word, v: Word) -> dict:
     for w, c in _lyndon_bracket(u2, v).items():
         _add_scaled(out, c, _lyndon_bracket(u1, w))
     return out
+
+
+@cache
+def _left_normed_word(word: Word) -> dict:
+    """[[w1, w2], ..., wn] as {Lyndon word: nonzero int}; shared, do not mutate."""
+    if len(word) == 1:
+        return {word: 1}
+    out: dict = {}
+    for w, c in _left_normed_word(word[:-1]).items():
+        _add_scaled(out, c, _lyndon_bracket(w, word[-1:]))
+    return out
+
+
+def left_normed_bracketing(t: LinComb) -> LinComb:
+    """Left-normed bracketing of a tensor element, as a Lie element."""
+    out: dict = {}
+    for word, c in t:
+        _add_scaled(out, c, _left_normed_word(word))
+    return LinComb._of(out)
 
 
 def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

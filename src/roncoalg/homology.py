@@ -11,15 +11,16 @@ Index conventions: tensor square (i,j) ↦ i·dim+j; tensor cube likewise
 lexicographic; symmetric-square keys i ≤ j in lexicographic order; wedge
 keys i < j in lexicographic order; m⊗x chains put the module factor first.
 
-Each functor only builds its chain data; two helpers do the linear algebra.
-`_quotient` (hl1, hr0) spans the relations once and keeps the basis vectors
-off the pivot columns.  `_homology` (hl2, h1_adjoint) checks that the
-outgoing boundary kills every incoming boundary (∂∘∂ = 0), spans the
-boundaries, and keeps the kernel vectors that enlarge that span; it then
-checks that boundaries and kept cycles span the whole kernel, that rank
-and kernel dimension add up to the chain dimension, and that every kept
-cycle has zero boundary.  A failed check is an internal bug, not bad input,
-and raises InternalError (under `python -O` as well).
+Each functor only builds sparse chain data; two helpers do the linear
+algebra.  `_quotient` (hl1, hr0) spans the relations once and keeps the
+basis vectors off the pivot columns.  `_homology` (hl2, h1_adjoint) takes
+the outgoing boundary ∂ as sparse columns, checks ∂∘∂ = 0 on every
+incoming boundary, spans the boundaries, and keeps the cycles read off the
+RREF of ∂'s rows that enlarge that span; it then checks that boundaries and
+kept cycles span the whole kernel, that rank and kernel dimension add up to
+the chain dimension, and that every kept cycle has zero boundary.  A failed
+check is an internal bug, not bad input, and raises InternalError (under
+`python -O` as well).  Only the kept representatives are made dense.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from .errors import InternalError, NotInVarietyError
 from .lincomb import _add_scaled
-from .linalg import SparseMatrix, SpanBuilder, _span, rank_and_kernel
+from .linalg import SpanBuilder, _dense, _span
 from .structure import StructureAlgebra, basis_vector, verify_variety
 
 
@@ -61,26 +62,32 @@ def _quotient(ambient: int, relations: Iterable[dict]) -> HomologyReport:
     return HomologyReport(len(reps), reps)
 
 
-def _homology(op: str, d_out: SparseMatrix, boundaries: Iterable[dict]) -> HomologyReport:
-    """Ker d_out modulo the span of the boundaries (sparse chain vectors)."""
-    columns: list[dict] = [{} for _ in range(d_out.cols)]
-    for (i, j), v in d_out.entries.items():
-        columns[j][i] = v
-    span = SpanBuilder(d_out.cols)
-    for b in filter(None, boundaries):
+def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> HomologyReport:
+    """Ker ∂ modulo the span of the boundaries, ∂ given by its sparse columns."""
+
+    def image(vec: dict) -> dict:
         out: dict = {}
-        for t, c in b.items():
+        for t, c in vec.items():
             _add_scaled(out, c, columns[t])
-        _invariant(not out, f"{op}: the boundary of a boundary is nonzero")
+        return out
+
+    rows: dict = {}
+    for t, col in enumerate(columns):
+        for p, v in col.items():
+            rows.setdefault(p, {})[t] = v
+    span = SpanBuilder(len(columns))
+    for b in filter(None, boundaries):
+        _invariant(not image(b), f"{op}: the boundary of a boundary is nonzero")
         span.add(b)
-    rank, kernel = rank_and_kernel(d_out)
-    reps = tuple(vec for vec in kernel if span.add(vec))
+    cycles = _span(len(columns), rows.values())
+    kernel = cycles.kernel()
+    reps = [vec for vec in kernel if span.add(vec)]
     _invariant(span.rank == len(kernel), f"{op}: cycle rank differs from the kernel dimension")
-    _invariant(rank + len(kernel) == d_out.cols,
+    _invariant(cycles.rank + len(kernel) == len(columns),
                f"{op}: rank plus kernel dimension differs from the chain dimension")
     for vec in reps:
-        _invariant(not any(d_out.mul_vector(vec)), f"{op}: a kept cycle has a nonzero boundary")
-    return HomologyReport(len(reps), reps)
+        _invariant(not image(vec), f"{op}: a kept cycle has a nonzero boundary")
+    return HomologyReport(len(reps), tuple(_dense(len(columns), vec) for vec in reps))
 
 
 def hl1(a: StructureAlgebra) -> HomologyReport:
@@ -93,8 +100,6 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
     """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
     _require(a, "leibniz", "hl2")
     n = a.dim
-    bracket = SparseMatrix(n, n * n, {(m, i * n + j): c for (i, j), cell in a.bracket.items()
-                                      for m, c in cell.items()})
 
     def boundary(i: int, j: int, k: int) -> dict:
         col = {m * n + k: c for m, c in a.cell(i, j).items()}
@@ -102,7 +107,8 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
         _add_scaled(col, -1, {i * n + m: c for m, c in a.cell(j, k).items()})
         return col
 
-    return _homology("hl2", bracket, (boundary(i, j, k) for i, j, k in product(range(n), repeat=3)))
+    return _homology("hl2", [a.cell(i, j) for i, j in product(range(n), repeat=2)],
+                     (boundary(i, j, k) for i, j, k in product(range(n), repeat=3)))
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
@@ -132,8 +138,6 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     """
     _require(a, "lie", "h1_adjoint")
     n = a.dim
-    d1 = SparseMatrix(n, n * n, {(p, m * n + x): c for m in range(n) for x in range(n)
-                                 for p, c in a.cell(x, m).items()})
 
     def boundary(m: int, x: int, y: int) -> dict:
         col = {p * n + y: c for p, c in a.cell(x, m).items()}
@@ -141,5 +145,5 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
         _add_scaled(col, 1, {m * n + q: c for q, c in a.cell(x, y).items()})
         return col
 
-    return _homology("h1_adjoint", d1, (boundary(m, x, y) for m in range(n)
-                                        for x in range(n) for y in range(x + 1, n)))
+    return _homology("h1_adjoint", [a.cell(x, m) for m, x in product(range(n), repeat=2)],
+                     (boundary(m, x, y) for m in range(n) for x in range(n) for y in range(x + 1, n)))

@@ -139,7 +139,7 @@ def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
 def report_to_obj(report) -> dict:
     return {
         "dimension": report.dimension,
-        "representatives": [[format_rational(v) for v in vec] for vec in report.representatives],
+        "representatives": vectors_to_obj(report.representatives),
     }
 
 

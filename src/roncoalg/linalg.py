@@ -6,9 +6,10 @@ Ranks, kernels and quotient dimensions are read off it.  No floating point
 anywhere.
 
 The result is deterministic: the RREF depends only on the span, and its
-pivots are the leading columns of the row space.  Kernel vectors are
-emitted one per free column, free columns in increasing order, with the
-free coordinate set to 1 and the other free coordinates set to 0.
+pivots are the leading columns of the row space.
+
+Inside the package vectors are sparse {index: Fraction} dicts; `_dense`
+alone makes dense tuples, for the public functions that return them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def format_rational(value: Fraction) -> str:
 
 
 Vector = Sequence[Fraction]
+
+
+def _dense(dim: int, vec: dict) -> tuple[Fraction, ...]:
+    """The dense tuple of length `dim` of a sparse vector."""
+    out = [Fraction(0)] * dim
+    for j, v in vec.items():
+        out[j] = v
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -157,16 +166,26 @@ class SpanBuilder:
         """
         return self._reduce(vec)
 
+    def rows(self) -> list[dict]:
+        """Sparse RREF rows sorted by pivot column (shared; do not mutate)."""
+        return [self._rows[pc] for pc in sorted(self._rows)]
+
+    def kernel(self) -> list[dict]:
+        """Sparse basis of the vectors orthogonal to the span, read off the RREF.
+
+        One vector per free column f, in increasing order: x[f] = 1 and
+        x[pc] = −row_pc[f] for every pivot column pc.
+        """
+        kernel = {f: {f: Fraction(1)} for f in range(self.dim) if f not in self._rows}
+        for pc, row in self._rows.items():
+            for f, v in row.items():
+                if f != pc:
+                    kernel[f][pc] = -v
+        return list(kernel.values())
+
     def basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical dense basis, rows sorted by pivot column."""
-        out = []
-        for pc in sorted(self._rows):
-            row = self._rows[pc]
-            dense = [Fraction(0)] * self.dim
-            for j, v in row.items():
-                dense[j] = v
-            out.append(tuple(dense))
-        return out
+        return [_dense(self.dim, row) for row in self.rows()]
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
@@ -188,21 +207,9 @@ def rank_and_kernel(m: SparseMatrix) -> tuple[int, list[tuple[Fraction, ...]]]:
 
     Every returned vector v satisfies m·v = 0 exactly; vectors are indexed
     by the free columns in increasing order, the free coordinate being 1.
-    Read off the RREF: for free column f, x[f] = 1 and x[pc] = −row_pc[f].
     """
     span = _span(m.cols, m.row_dicts())
-    entries: dict = {f: {f: Fraction(1)} for f in range(m.cols) if f not in span._rows}
-    for pc, row in span._rows.items():
-        for f, v in row.items():
-            if f != pc:
-                entries[f][pc] = -v
-    kernel = []
-    for col in entries.values():
-        x = [Fraction(0)] * m.cols
-        for j, v in col.items():
-            x[j] = v
-        kernel.append(tuple(x))
-    return span.rank, kernel
+    return span.rank, [_dense(m.cols, vec) for vec in span.kernel()]
 
 
 def quotient_dim(ambient_dim: int, relations: Sequence[Vector]) -> int:

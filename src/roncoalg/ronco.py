@@ -16,8 +16,9 @@ which is the right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y].
 
 The same bracket is the composite through the free Leibniz algebra:
 `section` embeds into tensor words, `leib_bracket` multiplies there, and
-`project` maps a word w·v to (left-normed bracketing of w) ⊗ v.  The tests
-keep that composite as the reference for the direct bracket.
+`project` maps a word w·v to (left-normed bracketing of w) ⊗ v, computed in
+Lyndon coordinates by `freelie._left_normed_word`.  The tests keep that
+composite as the reference for the direct bracket.
 
 `section` splits `project` exactly: a Lie tensor of degree n equals 1/n
 times its left-normed bracketing, so sending (ℓ, v) to
@@ -26,6 +27,7 @@ times its left-normed bracketing, so sending (ℓ, v) to
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 
@@ -34,17 +36,16 @@ from .freelie import (
     DEFAULT_MAX_DEGREE,
     Word,
     _expand_word,
+    _left_normed_word,
     _lyndon_bracket,
     format_word,
     is_lyndon,
-    left_normed_bracketing,
-    lie_bracket,
     lyndon_words,
     standard_factorization,
     witt_dim,
 )
 from .lincomb import LinComb, _add_scaled
-from .linalg import SparseMatrix, rank_and_kernel
+from .linalg import _span
 from .structure import StructureAlgebra
 from . import terms
 
@@ -78,24 +79,18 @@ def format_key(key: RKey, alphabet_size: int | None = None) -> str:
 
 
 @cache
-def _left_normed_lie(word: Word) -> LinComb:
-    """Left-normed bracketing of a word, in Lyndon coordinates."""
-    return left_normed_bracketing(LinComb.basis(word))
-
-
-@cache
-def _project_word(word: Word) -> LinComb:
+def _project_word(word: Word) -> dict:
+    """project of one word, as {key: nonzero int}; shared, do not mutate."""
     if len(word) == 1:
-        return LinComb.basis(((), word[0]))
-    prefix, last = word[:-1], word[-1]
-    return _left_normed_lie(prefix).map_keys(lambda l: (l, last))
+        return {((), word[0]): 1}
+    return {(l, word[-1]): c for l, c in _left_normed_word(word[:-1]).items()}
 
 
 def project(x: LinComb) -> LinComb:
     """Quotient map from tensor words: v1⊗…⊗vn ↦ [[v1,…],v_{n-1}] ⊗ vn."""
     out: dict = {}
     for word, c in x:
-        _add_scaled(out, c, _project_word(word).coeffs)
+        _add_scaled(out, c, _project_word(word))
     return LinComb._of(out)
 
 
@@ -217,15 +212,12 @@ def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) ->
     if n > max_degree:
         raise DegreeOverflowError(f"degree {n} exceeds the cap {max_degree}")
     keys = graded_basis(d, n)
-    targets = {word: i for i, word in enumerate(lyndon_words(d, n))}
-    entries: dict = {}
+    rows: dict = {}  # Lyndon word of degree n -> {column j: coefficient of it in [ξ_j, g_v_j]}
     for j, (word, v) in enumerate(keys):
-        image = lie_bracket(LinComb.basis(word), LinComb.basis((v,)), max_degree=max_degree)
-        for target_word, c in image:
-            entries[(targets[target_word], j)] = c
-    matrix = SparseMatrix(len(targets), len(keys), entries)
-    _, kernel = rank_and_kernel(matrix)
-    return [LinComb((keys[j], c) for j, c in enumerate(vec) if c) for vec in kernel]
+        for target, c in _lyndon_bracket(word, (v,)).items():
+            rows.setdefault(target, {})[j] = c
+    kernel = _span(len(keys), rows.values()).kernel()
+    return [LinComb((keys[j], c) for j, c in vec.items()) for vec in kernel]
 
 
 def truncation_basis(d: int, max_deg: int) -> list[RKey]:
@@ -248,13 +240,13 @@ def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DE
     if max_deg > max_degree:
         raise DegreeOverflowError(f"cutoff {max_deg} exceeds the cap {max_degree}")
     keys = truncation_basis(d, max_deg)
+    degrees = [key_degree(key) for key in keys]
     index = {key: i for i, key in enumerate(keys)}
     bracket: dict = {}
     for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            if key_degree(ki) + key_degree(kj) > max_deg:
-                continue
-            z = ronco_bracket(LinComb.basis(ki), LinComb.basis(kj), max_degree=max_degree)
+        # the keys are sorted by degree, so those that fit beside ki are a prefix
+        for j in range(bisect_right(degrees, max_deg - degrees[i])):
+            z = ronco_bracket(LinComb.basis(ki), LinComb.basis(keys[j]), max_degree=max_degree)
             if z:
                 bracket[(i, j)] = {index[key]: c for key, c in z}
     return StructureAlgebra(len(keys), bracket)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
 from .lincomb import _add_scaled
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, _dense
 
 _EMPTY: dict = {}
 
@@ -118,7 +118,7 @@ def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
     """Standard basis vector e_i (0-based)."""
     if not 0 <= i < dim:
         raise ValueError(f"basis index {i} out of range for dimension {dim}")
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
+    return _dense(dim, {i: Fraction(1)})
 
 
 # sparse one-sided actions used by the identity checks
@@ -249,7 +249,6 @@ def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
             partners.setdefault((name, 0, c), []).append(a)
             partners.setdefault((name, 1, a), []).append(c)
     violations = []
-    zero = Fraction(0)  # one shared object for the zero entries of every residual
     for group in groups:
         candidates = {t for _, monomials, _ in group for mono in monomials
                       for t in _candidates(mono, tables, partners)}
@@ -261,8 +260,7 @@ def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
                 for mono in monomials:
                     _add_scaled(acc, mono[0], _value(mono, tables, t))
                 if acc:
-                    residual = tuple(acc.get(k, zero) for k in range(dim))
-                    violations.append(Violation(axiom, tuple(i + 1 for i in t), residual))
+                    violations.append(Violation(axiom, tuple(i + 1 for i in t), _dense(dim, acc)))
     return tuple(violations)
 
 
@@ -366,8 +364,7 @@ def lie_quotient(a: StructureAlgebra) -> StructureAlgebra:
     changed = True
     while changed:
         changed = False
-        for vec in sb.basis():
-            vd = {m: c for m, c in enumerate(vec) if c}
+        for vd in sb.rows():  # live rows: an add may reduce vd in place, within the same span
             for i in range(a.dim):
                 for image in (_act_left(bk, i, vd), _act_right(bk, vd, i)):
                     if image and sb.add(image):

@@ -1,18 +1,29 @@
-"""The tensor-algebra composites that the direct free-algebra brackets
-replaced, kept as test oracles.
+"""The tensor-algebra composites and loops that the direct free-algebra
+code replaced, kept as test oracles.
 
 `lie_bracket` embeds both factors in the tensor algebra, takes the
 commutator there and rewrites it in Lyndon coordinates.  `ronco_bracket`
 lifts both factors to free Leibniz words with `section`, multiplies there
-and projects back.  `graded_kernel_basis` builds the degree-n kernel from
-the oracle Lie bracket.  None of them has a degree cap.
+and projects back; with `project` computed in Lyndon coordinates, this
+composite shares only `_lyndon_bracket` with the direct bracket, and
+`lie_bracket` checks that function through the tensor algebra.
+`left_normed_bracketing` expands left-normed bracketings as tensors
+(2ⁿ⁻¹ terms) and rewrites them in Lyndon coordinates.
+`graded_kernel_basis` builds the degree-n kernel from the oracle Lie
+bracket, and `truncate_to_structure` brackets every pair of truncation
+basis keys, skipping those above the cutoff.  None of them has a degree
+cap.
 """
+
+from functools import cache
 
 from roncoalg.freelie import expand_to_tensor, lyndon_words, rewrite_to_lyndon, tensor_commutator
 from roncoalg.leibniz import leib_bracket
 from roncoalg.linalg import SparseMatrix, rank_and_kernel
-from roncoalg.lincomb import LinComb
-from roncoalg.ronco import graded_basis, project, section
+from roncoalg.lincomb import LinComb, _add_scaled
+from roncoalg.ronco import graded_basis, key_degree, project, section, truncation_basis
+from roncoalg.ronco import ronco_bracket as direct_ronco_bracket
+from roncoalg.structure import StructureAlgebra
 
 UNCAPPED = 10**9
 
@@ -34,3 +45,37 @@ def graded_kernel_basis(d: int, n: int) -> list[LinComb]:
             entries[(targets[target], j)] = c
     _, kernel = rank_and_kernel(SparseMatrix(len(targets), len(keys), entries))
     return [LinComb((keys[j], c) for j, c in enumerate(vec) if c) for vec in kernel]
+
+
+@cache
+def _left_normed_tensor_word(word: tuple) -> LinComb:
+    """Tensor expansion of the left-normed bracketing [[w1,w2],...,wn]."""
+    if len(word) == 1:
+        return LinComb.basis(word)
+    return tensor_commutator(_left_normed_tensor_word(word[:-1]), LinComb.basis((word[-1],)))
+
+
+def left_normed_tensor(t: LinComb) -> LinComb:
+    """Replace every word by its left-normed bracketing, inside the tensor algebra."""
+    out: dict = {}
+    for word, c in t:
+        _add_scaled(out, c, _left_normed_tensor_word(word).coeffs)
+    return LinComb._of(out)
+
+
+def left_normed_bracketing(t: LinComb) -> LinComb:
+    return rewrite_to_lyndon(left_normed_tensor(t))
+
+
+def truncate_to_structure(d: int, max_deg: int) -> StructureAlgebra:
+    keys = truncation_basis(d, max_deg)
+    index = {key: i for i, key in enumerate(keys)}
+    bracket: dict = {}
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if key_degree(ki) + key_degree(kj) > max_deg:
+                continue
+            z = direct_ronco_bracket(LinComb.basis(ki), LinComb.basis(kj), max_degree=UNCAPPED)
+            if z:
+                bracket[(i, j)] = {index[key]: c for key, c in z}
+    return StructureAlgebra(len(keys), bracket)

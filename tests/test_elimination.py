@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as oracle
-from roncoalg.linalg import SpanBuilder, SparseMatrix, quotient_dim, rank, rank_and_kernel
+from roncoalg.linalg import SpanBuilder, SparseMatrix, _dense, quotient_dim, rank, rank_and_kernel
 
 COEFFICIENTS = st.sampled_from([Fraction(c) for c in ("-3", "-1", "-1/2", "1/3", "1", "2", "5/4")])
 
@@ -62,6 +62,7 @@ def test_span_builder_matches_oracle(m, data):
         assert span.rank == reference.rank
     assert span.basis() == reference.basis()
     assert span.pivot_columns() == reference.pivot_columns()
+    assert [_dense(m.cols, vec) for vec in span.kernel()] == oracle.rank_and_kernel(m)[1]
     if m.cols:
         probe = data.draw(st.dictionaries(st.integers(0, m.cols - 1), COEFFICIENTS))
         assert span.reduce(probe) == reference.reduce(probe)

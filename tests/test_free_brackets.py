@@ -1,6 +1,7 @@
-"""The direct brackets in Lyndon and (Lyndon word, generator) coordinates,
-compared with the tensor-algebra composites kept in `free_oracle`, plus the
-identities the free square-identity algebra must satisfy."""
+"""The direct brackets, left-normed bracketings and truncations in Lyndon
+and (Lyndon word, generator) coordinates, compared with the tensor-algebra
+composites and all-pairs loop kept in `free_oracle`, plus the identities
+the free square-identity algebra must satisfy."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import free_oracle as oracle
-from roncoalg.freelie import lie_bracket, lyndon_words
+from roncoalg.freelie import left_normed_bracketing, lie_bracket, lyndon_words
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import (
     graded_basis,
@@ -18,6 +19,7 @@ from roncoalg.ronco import (
     ronco_bracket,
     ronco_generator,
     section,
+    truncate_to_structure,
     truncation_basis,
 )
 
@@ -73,6 +75,24 @@ def test_ronco_bracket_matches_oracle(data):
     got = ronco_bracket(x, y)
     assert got == oracle.ronco_bracket(x, y)
     assert holds_fractions(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_left_normed_bracketing_matches_oracle(data):
+    d = data.draw(st.integers(2, 4))
+    word = st.lists(st.integers(1, d), min_size=1, max_size=MAX_DEGREE).map(tuple)
+    t = LinComb(data.draw(st.lists(st.tuples(word, COEFFICIENTS), min_size=1, max_size=3)))
+    got = left_normed_bracketing(t)
+    assert got == oracle.left_normed_bracketing(t)
+    assert holds_fractions(got)
+
+
+@pytest.mark.parametrize("d, top", [(1, 5), (2, 3), (2, 6), (3, 4), (4, 2), (4, 4)])
+def test_truncation_matches_all_pairs_oracle(d, top):
+    # same cells in the same insertion order, hence the same JSON bytes
+    got, want = truncate_to_structure(d, top), oracle.truncate_to_structure(d, top)
+    assert list(got.bracket.items()) == list(want.bracket.items())
 
 
 @pytest.mark.parametrize("d, top", [(3, 4), (2, 6)])

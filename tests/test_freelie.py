@@ -6,13 +6,13 @@ from itertools import product
 
 import pytest
 
+from free_oracle import left_normed_tensor
 from roncoalg.errors import DegreeOverflowError, NotLieElementError
 from roncoalg.freelie import (
     expand_to_tensor,
     format_word,
     is_lyndon,
     left_normed_bracketing,
-    left_normed_tensor,
     lie_bracket,
     lie_generator,
     lyndon_words,

@@ -1,6 +1,7 @@
-"""The four homology functors under a random GL_n(ℚ) change of basis:
-reports equal to the pre-refactor functors kept in `homology_oracle`, and
-dimensions equal to those of the algebra in its stock basis."""
+"""The four homology functors and the variety checks under a random GL_n(ℚ)
+change of basis: reports equal to the pre-refactor functors kept in
+`homology_oracle`, and dimensions and `verify` verdicts equal to those of
+the algebra in its stock basis."""
 
 from fractions import Fraction
 from functools import cache
@@ -20,6 +21,9 @@ from roncoalg.structure import (
     cross_product,
     direct_sum,
     free_nil2,
+    ronco_to_mu,
+    verify_mu,
+    verify_variety,
 )
 
 FUNCTORS = (("hl1", hl1, oracle.hl1), ("hl2", hl2, oracle.hl2),
@@ -33,6 +37,8 @@ ALGEBRAS = (
     lambda: direct_sum(free_nil2(2), cross_product()),
     lambda: direct_sum(cross_product(), abelian(1)),
     lambda: truncate_to_structure(2, 3),
+    # not Leibniz: [e2,[e1,e1]] = [e2,e2] = e1, while [[e2,e1],e1] = 0
+    lambda: StructureAlgebra(2, {(0, 0): {1: 1}, (1, 1): {0: 1}}),
 )
 
 SCALES = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-1/3")])
@@ -124,3 +130,15 @@ def test_reports_match_oracle_in_stock_basis(index):
     a = stock(index)
     for name, functor, reference in FUNCTORS:
         assert report_or_error(functor, a) == report_or_error(reference, a), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_changed())
+def test_verify_verdicts_survive_change_of_basis(case):
+    index, a = case
+    before = stock(index)
+    for variety in ("leibniz", "lie", "ronco", "symmetric-leibniz"):
+        assert verify_variety(a, variety).ok == verify_variety(before, variety).ok, variety
+    if verify_variety(before, "ronco").ok:
+        for symmetric in (False, True):
+            assert verify_mu(ronco_to_mu(a), symmetric).ok == verify_mu(ronco_to_mu(before), symmetric).ok

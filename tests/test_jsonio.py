@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roncoalg.homology import HomologyReport, hr0
 from roncoalg.jsonio import (
@@ -126,3 +128,23 @@ def test_report_to_obj():
 def test_vectors_to_obj():
     assert vectors_to_obj([(Fraction(1), Fraction(-2, 3))]) == [["1", "-2/3"]]
     assert vectors_to_obj([]) == []
+
+
+@st.composite
+def sparse_tables(draw, dim: int) -> dict:
+    if not dim:
+        return {}
+    index = st.integers(0, dim - 1)
+    values = st.sampled_from([Fraction(c) for c in ("-2", "-1/2", "1/3", "1", "7/5")])
+    return draw(st.dictionaries(st.tuples(index, index),
+                                st.dictionaries(index, values, min_size=1, max_size=3), max_size=2 * dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_algebras_dump_the_same_bytes_after_a_round_trip(data):
+    dim = data.draw(st.integers(0, 6))
+    for a in (StructureAlgebra(dim, data.draw(sparse_tables(dim))),
+              MuAlgebra(dim, data.draw(sparse_tables(dim)), data.draw(sparse_tables(dim)))):
+        text = dumps_algebra(a)
+        assert dumps_algebra(loads_algebra(text)) == text
