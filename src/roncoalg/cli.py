@@ -21,7 +21,9 @@ from .errors import NotInVarietyError, RoncoError
 from .freelie import DEFAULT_MAX_DEGREE, format_word, lyndon_words, witt_dim, word_sort_key
 from .lincomb import format_lincomb
 from .linalg import format_rational
-from .structure import MuAlgebra, StructureAlgebra, free_nil2, verify_mu, verify_variety
+from .structure import (
+    MuAlgebra, StructureAlgebra, free_nil2, mu_to_ronco, ronco_to_mu, verify_mu, verify_variety,
+)
 from .terms import parse_term
 
 
@@ -35,10 +37,18 @@ from .terms import parse_term
 # takes about 3 s (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
 MAX_BASIS_SIZE = 5000
 
+# Largest chain space a `homology` command may build.  It is estimated from
+# the dimension n of the algebra before any work starts (see _HOMOLOGY):
+# n² for hl2 (𝔤⊗𝔤) and h1ad (m⊗x), n(n+1)/2 for hr0 (Sym²𝔤), n for hl1;
+# a larger one exits 2.  It admits hl2 up to dimension 100; hl2 of a
+# dimension-99 truncation (3 generators up to degree 5, chain dimension
+# 9801) takes about 10 s (Python 3.11, 2 vCPUs).
+MAX_CHAIN_DIM = 10_000
 
-def _check_size(what: str, size: int):
-    if size > MAX_BASIS_SIZE:
-        raise RoncoError(f"{what} ({size}) exceeds the limit of {MAX_BASIS_SIZE}")
+
+def _check_size(what: str, size: int, limit: int = MAX_BASIS_SIZE):
+    if size > limit:
+        raise RoncoError(f"{what} ({size}) exceeds the limit of {limit}")
 
 
 def _max_degree() -> int:
@@ -165,8 +175,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .structure import mu_to_ronco, ronco_to_mu
-
     x = _load_algebra(args.file)
     if args.to == "mu":
         if not isinstance(x, StructureAlgebra):
@@ -180,91 +188,90 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+# --which: (functor, chain dimension for an algebra of dimension n)
+_HOMOLOGY = {
+    "hl1": (homology_mod.hl1, lambda n: n),
+    "hl2": (homology_mod.hl2, lambda n: n * n),
+    "hr0": (homology_mod.hr0, lambda n: n * (n + 1) // 2),
+    "h1ad": (homology_mod.h1_adjoint, lambda n: n * n),
+}
+
+
 def _cmd_homology(args) -> int:
     x = _load_algebra(args.file)
     if not isinstance(x, StructureAlgebra):
         raise RoncoError('homology needs a kind "leibniz" algebra')
-    op = {
-        "hl1": homology_mod.hl1,
-        "hl2": homology_mod.hl2,
-        "hr0": homology_mod.hr0,
-        "h1ad": homology_mod.h1_adjoint,
-    }[args.which]
+    op, chain_dim = _HOMOLOGY[args.which]
+    _check_size(f"the chain dimension of {args.which}", chain_dim(x.dim), MAX_CHAIN_DIM)
     report = op(x)
     sys.stdout.write(jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(*flags, **options) -> tuple:
+    return flags, options
+
+
+_GENS = _opt("--gens", type=int, required=True, metavar="D")
+_MAX = _opt("--max", type=int, required=True, metavar="N")
+_EXPR = _opt("--expr", required=True, metavar="TERM")
+_FILE = _opt("file", metavar="FILE")
+_OUTPUT = _opt("-o", "--output", metavar="FILE")
+
+# name: (help, handler, arguments), in the order the top-level help lists them
+_COMMANDS = {
+    "lyndon": ("list Lyndon words of a given length", _cmd_lyndon,
+               (_GENS, _opt("--len", dest="length", type=int, required=True, metavar="N"))),
+    "witt": ("free Lie graded dimensions up to a degree", _cmd_witt, (_GENS, _MAX)),
+    "leib-bracket": ("evaluate a bracket term in the free Leibniz algebra", _cmd_leib_bracket,
+                     (_GENS, _EXPR)),
+    "ronco-eval": ("evaluate a bracket term in the free square-identity algebra", _cmd_ronco_eval,
+                   (_GENS, _EXPR)),
+    "ronco-dims": ("graded dimensions of the free square-identity algebra", _cmd_ronco_dims,
+                   (_GENS, _MAX)),
+    "graded-kernel": ("kernel of the degree-n bracket-to-Lie map", _cmd_graded_kernel,
+                      (_GENS, _opt("--deg", type=int, required=True, metavar="N"))),
+    "ronco-truncate": ("truncated free algebra as JSON structure constants", _cmd_ronco_truncate,
+                       (_GENS, _MAX, _OUTPUT)),
+    "free-nil2": ("free 2-step nilpotent Lie algebra as JSON", _cmd_free_nil2,
+                  (_opt("--dim", type=int, required=True, metavar="D"), _OUTPUT)),
+    "verify": ("check variety identities of a JSON algebra", _cmd_verify,
+               (_opt("--variety", required=True,
+                     choices=["leibniz", "lie", "ronco", "symmetric", "mu", "mu-symmetric"]),
+                _FILE)),
+    "convert": ("convert between bracket and bracket/product presentations", _cmd_convert,
+                (_opt("--to", required=True, choices=["mu", "ronco"]), _FILE, _OUTPUT)),
+    "homology": ("homology of a JSON algebra", _cmd_homology,
+                 (_opt("--which", required=True, choices=list(_HOMOLOGY)), _FILE)),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of all subcommands, or only of the one `argv[0]` names.
+
+    A subcommand's usage, help and errors do not depend on its siblings, and
+    anything else (top-level help, an unknown or missing command) gets the
+    full parser, so the output is the same either way; building ten unused
+    subparsers is a fixed cost of every call.
+    """
     parser = argparse.ArgumentParser(
         prog="roncoalg",
         description="Exact calculator for free Leibniz/Ronco algebras and their homology.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("lyndon", help="list Lyndon words of a given length")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--len", dest="length", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_lyndon)
-
-    p = sub.add_parser("witt", help="free Lie graded dimensions up to a degree")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--max", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_witt)
-
-    p = sub.add_parser("leib-bracket", help="evaluate a bracket term in the free Leibniz algebra")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--expr", required=True, metavar="TERM")
-    p.set_defaults(func=_cmd_leib_bracket)
-
-    p = sub.add_parser("ronco-eval", help="evaluate a bracket term in the free square-identity algebra")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--expr", required=True, metavar="TERM")
-    p.set_defaults(func=_cmd_ronco_eval)
-
-    p = sub.add_parser("ronco-dims", help="graded dimensions of the free square-identity algebra")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--max", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_ronco_dims)
-
-    p = sub.add_parser("graded-kernel", help="kernel of the degree-n bracket-to-Lie map")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--deg", type=int, required=True, metavar="N")
-    p.set_defaults(func=_cmd_graded_kernel)
-
-    p = sub.add_parser("ronco-truncate", help="truncated free algebra as JSON structure constants")
-    p.add_argument("--gens", type=int, required=True, metavar="D")
-    p.add_argument("--max", type=int, required=True, metavar="N")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_ronco_truncate)
-
-    p = sub.add_parser("free-nil2", help="free 2-step nilpotent Lie algebra as JSON")
-    p.add_argument("--dim", type=int, required=True, metavar="D")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_free_nil2)
-
-    p = sub.add_parser("verify", help="check variety identities of a JSON algebra")
-    p.add_argument("--variety", required=True,
-                   choices=["leibniz", "lie", "ronco", "symmetric", "mu", "mu-symmetric"])
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("convert", help="convert between bracket and bracket/product presentations")
-    p.add_argument("--to", required=True, choices=["mu", "ronco"])
-    p.add_argument("file", metavar="FILE")
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("homology", help="homology of a JSON algebra")
-    p.add_argument("--which", required=True, choices=["hl1", "hl2", "hr0", "h1ad"])
-    p.add_argument("file", metavar="FILE")
-    p.set_defaults(func=_cmd_homology)
-
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotInVarietyError as exc:

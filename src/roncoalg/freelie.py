@@ -254,6 +254,8 @@ def left_normed_bracketing(t: LinComb) -> LinComb:
     """Left-normed bracketing of a tensor element, as a Lie element."""
     out: dict = {}
     for word, c in t:
+        if not word:
+            raise ValueError("the empty word has no left-normed bracketing")
         _add_scaled(out, c, _left_normed_word(word))
     return LinComb._of(out)
 

@@ -25,23 +25,22 @@ check is an internal bug, not bad input, and raises InternalError (under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
 from .errors import InternalError, NotInVarietyError
-from .lincomb import _add_scaled
+from .lincomb import Record, _add_scaled
 from .linalg import SpanBuilder, _dense, _span
 from .structure import StructureAlgebra, basis_vector, verify_variety
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    """Dimension plus explicit cycle representatives in the chain space."""
+class HomologyReport(Record):
+    """Dimension plus explicit cycle representatives in the chain space.
 
-    dimension: int
-    representatives: tuple[tuple[Fraction, ...], ...]
+    `representatives` is a tuple of dense Fraction tuples.
+    """
+
+    __slots__ = ("dimension", "representatives")
 
 
 def _require(a: StructureAlgebra, variety: str, op: str):

@@ -15,11 +15,10 @@ alone makes dense tuples, for the public functions that return them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lincomb import _add_scaled
+from .lincomb import Record, _add_scaled
 
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -55,20 +54,21 @@ def _dense(dim: int, vec: dict) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Sparse matrix over the rationals; only nonzero entries are stored."""
+class SparseMatrix(Record):
+    """Sparse matrix over the rationals; only nonzero entries are stored.
 
-    rows: int
-    cols: int
-    entries: dict  # (row, col) -> nonzero Fraction
+    `entries` maps (row, col) to a nonzero Fraction.
+    """
 
-    def __post_init__(self):
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: dict):
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index ({i}, {j}) out of range")
             if not v:
                 raise ValueError(f"stored zero at ({i}, {j})")
+        super().__init__(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "SparseMatrix":

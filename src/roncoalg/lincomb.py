@@ -43,6 +43,63 @@ def _add_scaled(acc: dict, scale: Scalar, term: dict):
             acc[k] = scale * v
 
 
+class Record:
+    """Base of the package's small immutable value types.
+
+    A subclass lists its fields, in order, in `__slots__`, and is built from
+    them by position or keyword.  Two records are equal when they are of the
+    same class and their fields are equal; the hash is that of the field
+    tuple, so a record with a dict field is unhashable; the repr reads
+    ``Name(field=value, ...)``; assignment raises AttributeError.  A
+    subclass with defaults or validation defines its own `__init__` and
+    calls this one.  These classes are written out by hand, not generated
+    by the standard library's frozen-class decorator: importing it (it
+    pulls in `inspect`) and generating each class's methods is a fixed
+    cost of every command-line call.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__}() got an unexpected or repeated argument {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            missing = ", ".join(name for name in names if name not in values)
+            raise TypeError(f"{type(self).__name__}() missing argument(s): {missing}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+
 class LinComb:
     """Immutable-by-convention sparse linear combination."""
 

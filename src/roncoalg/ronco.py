@@ -90,6 +90,8 @@ def project(x: LinComb) -> LinComb:
     """Quotient map from tensor words: v1⊗…⊗vn ↦ [[v1,…],v_{n-1}] ⊗ vn."""
     out: dict = {}
     for word, c in x:
+        if not word:
+            raise ValueError("project needs words of length >= 1, got the empty word")
         _add_scaled(out, c, _project_word(word))
     return LinComb._of(out)
 

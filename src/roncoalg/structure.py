@@ -20,12 +20,11 @@ follows the nonzero cells, not dim³.  A variety is a list of rows in
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
-from .lincomb import _add_scaled
+from .lincomb import Record, _add_scaled
 from .linalg import SpanBuilder, _dense
 
 _EMPTY: dict = {}
@@ -48,36 +47,31 @@ def _normalize_table(dim: int, table: dict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class StructureAlgebra:
+class StructureAlgebra(Record):
     """An algebra with one bracket, presented by structure constants."""
 
-    dim: int
-    bracket: dict = field(default_factory=dict)
+    __slots__ = ("dim", "bracket")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.dim}")
-        object.__setattr__(self, "bracket", _normalize_table(self.dim, self.bracket))
+    def __init__(self, dim: int, bracket: dict | None = None):
+        if dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        super().__init__(dim, _normalize_table(dim, bracket or {}))
 
     def cell(self, i: int, j: int) -> dict:
         """Sparse coordinates of [e_i, e_j] (0-based; do not mutate)."""
         return self.bracket.get((i, j), _EMPTY)
 
 
-@dataclass(frozen=True)
-class MuAlgebra:
+class MuAlgebra(Record):
     """An algebra with an antisymmetric bracket and a commutative product."""
 
-    dim: int
-    lie_bracket: dict = field(default_factory=dict)
-    product: dict = field(default_factory=dict)
+    __slots__ = ("dim", "lie_bracket", "product")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.dim}")
-        object.__setattr__(self, "lie_bracket", _normalize_table(self.dim, self.lie_bracket))
-        object.__setattr__(self, "product", _normalize_table(self.dim, self.product))
+    def __init__(self, dim: int, lie_bracket: dict | None = None, product: dict | None = None):
+        if dim < 0:
+            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        super().__init__(dim, _normalize_table(dim, lie_bracket or {}),
+                         _normalize_table(dim, product or {}))
 
     def lie_cell(self, i: int, j: int) -> dict:
         return self.lie_bracket.get((i, j), _EMPTY)
@@ -142,23 +136,19 @@ def _act_right(table: dict, vec: dict, j: int) -> dict:
 # ---------------------------------------------------------------------------
 # identity verification
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed identity instance.
 
-    `indices` are the 1-based basis indices substituted into the identity;
-    `residual` is the dense value of the left-hand side minus right-hand side.
+    `axiom` names the identity; `indices` are the 1-based basis indices
+    substituted into it; `residual` is the dense value of the left-hand side
+    minus right-hand side, a tuple of Fractions.
     """
 
-    axiom: str
-    indices: tuple[int, ...]
-    residual: tuple[Fraction, ...]
+    __slots__ = ("axiom", "indices", "residual")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    variety: str
-    violations: tuple[Violation, ...]
+class VerificationReport(Record):
+    __slots__ = ("variety", "violations")  # violations: a tuple of Violation
 
     @property
     def ok(self) -> bool:

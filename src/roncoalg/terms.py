@@ -20,41 +20,33 @@ Deeper input is a TermSyntaxError, not a RecursionError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .errors import TermSyntaxError
+from .lincomb import Record
 
 MAX_TERM_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class Generator:
-    index: int
+class Generator(Record):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: "Term"
-    right: "Term"
+class Bracket(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Scale:
-    coeff: Fraction
-    term: "Term"
+class Scale(Record):
+    __slots__ = ("coeff", "term")  # coeff: Fraction
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["Term", ...]
+class Sum(Record):
+    __slots__ = ("terms",)  # a tuple of terms
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: "Term"
-    right: "Term"
+class Diff(Record):
+    __slots__ = ("left", "right")
 
 
 Term = Union[Generator, Bracket, Scale, Sum, Diff]

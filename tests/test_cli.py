@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from roncoalg.cli import MAX_BASIS_SIZE, main
+from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, MAX_CHAIN_DIM, _build_parser, main
 from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import free_nil2, ronco_to_mu
@@ -313,6 +313,60 @@ def test_output_is_deterministic(capsys):
     second = run(capsys, argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_homology_chain_dimension_guard(tmp_path, capsys):
+    # unguarded, hl2 of an empty dim-1000 algebra ran past 15 s with no output
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 1000, "kind": "leibniz", "bracket": []}')
+    code, out, err = run(capsys, ["homology", "--which", "hl2", str(big)])
+    assert (code, out) == (2, "")
+    assert err == f"error: the chain dimension of hl2 (1000000) exceeds the limit of {MAX_CHAIN_DIM}\n"
+
+
+@pytest.mark.parametrize("which", sorted(_HOMOLOGY))
+def test_chain_dimension_limit_boundary(tmp_path, capsys, which):
+    # The estimate is checked before the algebra is: at the largest admitted
+    # dimension an algebra outside every variety exits 1, one past it 2.
+    # For hl1 the chain dimension is n itself: the limit and one past it.
+    chain_dim = _HOMOLOGY[which][1]
+    n = max(n for n in range(MAX_CHAIN_DIM + 1) if chain_dim(n) <= MAX_CHAIN_DIM)
+    assert chain_dim(99) <= MAX_CHAIN_DIM < chain_dim(n + 1)
+    assert which != "hl1" or (chain_dim(n), chain_dim(n + 1)) == (MAX_CHAIN_DIM, MAX_CHAIN_DIM + 1)
+    path = tmp_path / "a.json"
+    for dim, code in [(n, 1), (n + 1, 2)]:
+        path.write_text(json.dumps({"dim": dim, "kind": "leibniz",
+                                    "bracket": [{"i": 1, "j": 1, "c": [{"k": 1, "v": "1"}]}]}))
+        assert run(capsys, ["homology", "--which", which, str(path)])[0] == code, (which, dim)
+
+
+PARSER_ARGVS = ([[name, "--help"] for name in _COMMANDS] + [[name] for name in _COMMANDS]
+                + [["--help"], ["no-such-command"], []])
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_invoked_only_parser_matches_full_parser(capsys, argv):
+    outputs = []
+    for parser in (_build_parser(), _build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outputs.append((exc.value.code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert (code, bool(out), bool(err)) in [(0, True, False), (2, False, True)]
+    subparsers = _build_parser(argv)._subparsers._group_actions[0].choices
+    assert list(subparsers) == (argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS))
+
+
+def test_import_skips_dataclasses():
+    # importing `dataclasses` (with `inspect`) and generating the classes
+    # cost about 20 ms of every cold call
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, roncoalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n")
 
 
 def test_module_entry_point_subprocess():

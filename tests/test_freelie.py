@@ -227,3 +227,11 @@ def test_word_formatting():
 def test_expand_validates_lyndon_keys():
     with pytest.raises(ValueError):
         expand_to_tensor(LinComb.basis((2, 1)))
+
+
+def test_left_normed_bracketing_rejects_the_empty_word():
+    # the empty word once recursed without end (RecursionError)
+    with pytest.raises(ValueError, match="empty word"):
+        left_normed_bracketing(LinComb.basis(()))
+    with pytest.raises(ValueError, match="empty word"):
+        left_normed_bracketing(LinComb({(1, 2): 1, (): 3}))

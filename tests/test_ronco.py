@@ -222,3 +222,11 @@ def test_eval_term():
         eval_term(parse_term("g4"), 3)
     with pytest.raises(DegreeOverflowError):
         eval_term(parse_term("[[g1,g2],[g1,g2]]"), 2, max_degree=3)
+
+
+def test_project_rejects_the_empty_word():
+    # the empty word once recursed without end (RecursionError)
+    with pytest.raises(ValueError, match="empty word"):
+        project(LinComb.basis(()))
+    with pytest.raises(ValueError, match="empty word"):
+        project(LinComb({(1, 2): 1, (): 3}))
