@@ -28,13 +28,15 @@ from .terms import parse_term
 
 
 # Largest basis one command may enumerate: the words `lyndon` lists, the
-# dimension of a `ronco-truncate` algebra, the d·W(d, n−1) columns of the
-# `graded-kernel` map.  Each is estimated from dimension formulas before any
-# work starts, and a larger one exits 2.  The generator count and the
-# degree are checked against the same limit first, because they bound the
-# cost of the estimate; past the limit, either one alone gives a larger
-# basis unless there is a single generator.  Near the limit a truncation
-# takes about 3 s (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
+# dimension of a `ronco-truncate` or `free-nil2` algebra, the d·W(d, n−1)
+# columns of the `graded-kernel` map.  Each is estimated from dimension
+# formulas before any work starts, and a larger one exits 2.  The generator
+# count and the degree are checked against the same limit first, because
+# they bound the cost of the estimate; past the limit, either one alone
+# gives a larger basis unless there is a single generator.  `witt` and
+# `ronco-dims` list one dimension per degree and check only the generator
+# count and the degree.  Near the limit a truncation takes about 3 s
+# (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
 MAX_BASIS_SIZE = 5000
 
 # Largest chain space a `homology` command may build.  It is estimated from
@@ -94,12 +96,18 @@ def _cmd_lyndon(args) -> int:
     return 0
 
 
-def _cmd_witt(args) -> int:
+def _print_dims(args, dim) -> int:
+    """One "n<TAB>dim(gens, n)" line per degree n up to --max, written at once."""
     if args.max < 1:
         raise RoncoError(f"--max must be >= 1, got {args.max}")
-    for n in range(1, args.max + 1):
-        print(f"{n}\t{witt_dim(args.gens, n)}")
+    _check_size("--gens", args.gens)
+    _check_size("--max", args.max)
+    sys.stdout.write("".join(f"{n}\t{dim(args.gens, n)}\n" for n in range(1, args.max + 1)))
     return 0
+
+
+def _cmd_witt(args) -> int:
+    return _print_dims(args, witt_dim)
 
 
 def _cmd_leib_bracket(args) -> int:
@@ -115,11 +123,7 @@ def _cmd_ronco_eval(args) -> int:
 
 
 def _cmd_ronco_dims(args) -> int:
-    if args.max < 1:
-        raise RoncoError(f"--max must be >= 1, got {args.max}")
-    for n in range(1, args.max + 1):
-        print(f"{n}\t{ronco.graded_dim(args.gens, n)}")
-    return 0
+    return _print_dims(args, ronco.graded_dim)
 
 
 def _cmd_graded_kernel(args) -> int:
@@ -151,6 +155,8 @@ def _cmd_ronco_truncate(args) -> int:
 
 
 def _cmd_free_nil2(args) -> int:
+    if args.dim >= 1:  # a smaller one is refused by free_nil2
+        _check_size("the dimension of free-nil2", args.dim * (args.dim + 1) // 2)
     _emit(jsonio.dumps_algebra(free_nil2(args.dim)), args.output)
     return 0
 

@@ -20,7 +20,9 @@ RREF of ∂'s rows that enlarge that span; it then checks that boundaries and
 kept cycles span the whole kernel, that rank and kernel dimension add up to
 the chain dimension, and that every kept cycle has zero boundary.  A failed
 check is an internal bug, not bad input, and raises InternalError (under
-`python -O` as well).  Only the kept representatives are made dense.
+`python -O` as well).  Only the kept representatives are made dense, and
+only if there are at most `MAX_DENSE_ENTRIES` entries in all; more raise
+RoncoError before any of them is built.
 """
 
 from __future__ import annotations
@@ -28,10 +30,19 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .errors import InternalError, NotInVarietyError
+from .errors import InternalError, NotInVarietyError, RoncoError
 from .lincomb import Record, _add_scaled
 from .linalg import SpanBuilder, _dense, _span
 from .structure import StructureAlgebra, basis_vector, verify_variety
+
+
+# Largest dimension × chain dimension of the dense representatives a report
+# may hold; a larger count raises RoncoError before any is built.  It admits
+# hl2 of the dimension-99 truncation (3 generators up to degree 5: 201
+# representatives of length 9801, 1,970,001 entries, about 10 s on Python
+# 3.11, 2 vCPUs) and refuses hl1 of an empty dimension-2000 algebra
+# (4,000,000 entries), which unguarded took 10 s, 639 MB and printed 44 MB.
+MAX_DENSE_ENTRIES = 2_000_000
 
 
 class HomologyReport(Record):
@@ -54,9 +65,16 @@ def _invariant(holds: bool, message: str):
         raise InternalError(message)
 
 
-def _quotient(ambient: int, relations: Iterable[dict]) -> HomologyReport:
+def _check_dense(op: str, count: int, length: int):
+    if count * length > MAX_DENSE_ENTRIES:
+        raise RoncoError(f"{op}: {count} representatives of length {length} "
+                         f"({count * length} entries) exceed the limit of {MAX_DENSE_ENTRIES}")
+
+
+def _quotient(op: str, ambient: int, relations: Iterable[dict]) -> HomologyReport:
     """The ambient space modulo the span of the relations."""
     pivots = set(_span(ambient, filter(None, relations)).pivot_columns())
+    _check_dense(op, ambient - len(pivots), ambient)
     reps = tuple(basis_vector(ambient, i) for i in range(ambient) if i not in pivots)
     return HomologyReport(len(reps), reps)
 
@@ -86,13 +104,14 @@ def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> Homol
                f"{op}: rank plus kernel dimension differs from the chain dimension")
     for vec in reps:
         _invariant(not image(vec), f"{op}: a kept cycle has a nonzero boundary")
+    _check_dense(op, len(reps), len(columns))
     return HomologyReport(len(reps), tuple(_dense(len(columns), vec) for vec in reps))
 
 
 def hl1(a: StructureAlgebra) -> HomologyReport:
     """Abelianization 𝔤/[𝔤,𝔤]; representatives are surviving basis vectors."""
     _require(a, "leibniz", "hl1")
-    return _quotient(a.dim, a.bracket.values())
+    return _quotient("hl1", a.dim, a.bracket.values())
 
 
 def hl2(a: StructureAlgebra) -> HomologyReport:
@@ -125,7 +144,7 @@ def hr0(a: StructureAlgebra) -> HomologyReport:
         _add_scaled(col, -1, {sym(m, k): c for m, c in a.cell(i, j).items()})
         return col
 
-    return _quotient(len(pairs), (relation(i, j, k) for i, j, k in product(range(n), repeat=3)))
+    return _quotient("hr0", len(pairs), (relation(i, j, k) for i, j, k in product(range(n), repeat=3)))
 
 
 def h1_adjoint(a: StructureAlgebra) -> HomologyReport:

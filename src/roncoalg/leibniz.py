@@ -1,22 +1,19 @@
 """Free Leibniz algebra on d generators, as the tensor module of words.
 
-Basis in degree n: all words of length n over {1..d} (tuples of ints).
-The defining bracket acts by
-
-    [w, (v,)]     = w + (v,)                       (append a letter)
-    [w, u + (v,)] = [[w, u], (v,)] - [[w, (v,)], u]
-
-which extends the right-append rule so that the right Leibniz identity
-[x,[y,z]] = [[x,y],z] - [[x,z],y] holds identically.
+Basis in degree n: all words of length n over {1..d} (tuples of ints); the
+word w = v1⋯vn is the left-normed bracket [[g_v1, g_v2], …, g_vn].  The
+bracket with a generator appends a letter, [w, g_v] = w + (v,).  A longer
+right factor y acts through its image in the free Lie algebra (right
+multiplication kills squares), which is the left-normed bracketing of its
+words; `freelie.act` applies that Lie element letter by letter, so the
+right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y] holds identically.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import DegreeOverflowError, UnknownGeneratorError
-from .freelie import DEFAULT_MAX_DEGREE, Word, element_degree
-from .lincomb import LinComb, _add_scaled
+from .freelie import DEFAULT_MAX_DEGREE, Word, act, element_degree, left_normed_bracketing
+from .lincomb import LinComb
 from . import terms
 
 
@@ -27,23 +24,8 @@ def leib_generator(i: int) -> LinComb:
     return LinComb.basis((i,))
 
 
-@cache
-def _word_bracket(left: Word, right: Word) -> dict:
-    """[left, right] of two words, as {word: nonzero int}; shared, never mutated."""
-    if len(right) == 1:
-        return {left + right: 1}
-    head, last = right[:-1], right[-1:]
-    # [w, head.last] = [[w, head], last] - [[w, last], head]
-    out = _apply_right(_word_bracket(left, head), last)
-    _add_scaled(out, -1, _apply_right(_word_bracket(left, last), head))
-    return out
-
-
-def _apply_right(x: dict, right: Word) -> dict:
-    out: dict = {}
-    for word, c in x.items():
-        _add_scaled(out, c, _word_bracket(word, right))
-    return out
+def _append(word: Word, v: int) -> dict:
+    return {word + (v,): 1}
 
 
 def leib_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
@@ -55,11 +37,7 @@ def leib_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -
         raise DegreeOverflowError(
             f"bracket lands in degree {total}, above the cap {max_degree}"
         )
-    out: dict = {}
-    for wx, cx in x:
-        for wy, cy in y:
-            _add_scaled(out, cx * cy, _word_bracket(wx, wy))
-    return LinComb._of(out)
+    return LinComb._of(act(_append, x.coeffs, left_normed_bracketing(y).coeffs))
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

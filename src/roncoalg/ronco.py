@@ -9,10 +9,9 @@ degree of a key is always ``len(lyndon_word) + 1``.
 The bracket is computed on these keys, with integer coefficients.  Right
 multiplication kills squares in any Leibniz algebra, so [x, y] depends on
 y only through its image in the free Lie algebra, where (ℓ, v) ↦ [ℓ, g_v]
-and ((), v) ↦ g_v.  That image acts on the keys of x by right actions R:
-a generator by [ξ⊗u, g_v] = [ξ, u]_Lie ⊗ v and [g_u, g_v] = (u)⊗v, a longer
-Lyndon word ℓ = ℓ₁ℓ₂ (standard factorization) by R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂,
-which is the right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y].
+and ((), v) ↦ g_v.  That image acts on the keys of x by the right action
+of `freelie.act`; this module supplies only the action of a generator,
+[ξ⊗u, g_v] = [ξ, u]_Lie ⊗ v and [g_u, g_v] = (u)⊗v.
 
 The same bracket is the composite through the free Leibniz algebra:
 `section` embeds into tensor words, `leib_bracket` multiplies there, and
@@ -38,10 +37,10 @@ from .freelie import (
     _expand_word,
     _left_normed_word,
     _lyndon_bracket,
+    act,
     format_word,
     is_lyndon,
     lyndon_words,
-    standard_factorization,
     witt_dim,
 )
 from .lincomb import LinComb, _add_scaled
@@ -130,35 +129,18 @@ def _lie_image(y: LinComb) -> dict:
     return out
 
 
-@cache
-def _right_action(key: RKey, word: Word) -> dict:
-    """R_ℓ(key) = [key, ℓ] for the Lie basis element of the Lyndon word ℓ.
-
-    Returned as {key: nonzero int}, shared through the cache; callers must
-    not mutate it.
-    """
-    if len(word) == 1:
-        xi, u = key
-        if not xi:
-            return {((u,), word[0]): 1}
-        return {(w, word[0]): c for w, c in _lyndon_bracket(xi, (u,)).items()}
-    first, second = standard_factorization(word)
-    out = _act(_right_action(key, first), second)
-    _add_scaled(out, -1, _act(_right_action(key, second), first))
-    return out
-
-
-def _act(x: dict, word: Word) -> dict:
-    out: dict = {}
-    for key, c in x.items():
-        _add_scaled(out, c, _right_action(key, word))
-    return out
+def _letter(key: RKey, v: int) -> dict:
+    """[key, g_v] as {key: nonzero int}."""
+    xi, u = key
+    if not xi:
+        return {((u,), v): 1}
+    return {(w, v): c for w, c in _lyndon_bracket(xi, (u,)).items()}
 
 
 def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
     """Bracket of two elements in (lyndon_word, generator) coordinates.
 
-    The Lie image of y acts on the keys of x by right actions; the result
+    The Lie image of y acts on the keys of x by `freelie.act`; the result
     equals project(leib_bracket(section(x), section(y))).
     """
     if x.is_zero() or y.is_zero():
@@ -168,11 +150,7 @@ def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) 
         raise DegreeOverflowError(f"bracket of degree {total} exceeds the cap {max_degree}")
     _require_lyndon_keys(x)
     _require_lyndon_keys(y)
-    out: dict = {}
-    for word, cw in _lie_image(y).items():
-        for key, cx in x:
-            _add_scaled(out, cx * cw, _right_action(key, word))
-    return LinComb._of(out)
+    return LinComb._of(act(_letter, x.coeffs, _lie_image(y)))
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

@@ -2,11 +2,14 @@
 code replaced, kept as test oracles.
 
 `lie_bracket` embeds both factors in the tensor algebra, takes the
-commutator there and rewrites it in Lyndon coordinates.  `ronco_bracket`
-lifts both factors to free Leibniz words with `section`, multiplies there
-and projects back; with `project` computed in Lyndon coordinates, this
-composite shares only `_lyndon_bracket` with the direct bracket, and
-`lie_bracket` checks that function through the tensor algebra.
+commutator there and rewrites it in Lyndon coordinates.  `leib_bracket`
+multiplies free Leibniz words by splitting off the last letter of the
+right factor, [w, u·v] = [[w, u], v] − [[w, v], u], without the free Lie
+algebra.  `ronco_bracket` lifts both factors to free Leibniz words with
+`section`, multiplies there with the oracle `leib_bracket` and projects
+back; with `project` computed in Lyndon coordinates, this composite shares
+only `_lyndon_bracket` with the direct bracket, and `lie_bracket` checks
+that function through the tensor algebra.
 `left_normed_bracketing` expands left-normed bracketings as tensors
 (2ⁿ⁻¹ terms) and rewrites them in Lyndon coordinates.
 `graded_kernel_basis` builds the degree-n kernel from the oracle Lie
@@ -18,7 +21,6 @@ cap.
 from functools import cache
 
 from roncoalg.freelie import expand_to_tensor, lyndon_words, rewrite_to_lyndon, tensor_commutator
-from roncoalg.leibniz import leib_bracket
 from roncoalg.linalg import SparseMatrix, rank_and_kernel
 from roncoalg.lincomb import LinComb, _add_scaled
 from roncoalg.ronco import graded_basis, key_degree, project, section, truncation_basis
@@ -32,8 +34,35 @@ def lie_bracket(x: LinComb, y: LinComb) -> LinComb:
     return rewrite_to_lyndon(tensor_commutator(expand_to_tensor(x), expand_to_tensor(y)))
 
 
+@cache
+def _word_bracket(left: tuple, right: tuple) -> dict:
+    """[left, right] of two words, as {word: nonzero int}; shared, never mutated."""
+    if len(right) == 1:
+        return {left + right: 1}
+    head, last = right[:-1], right[-1:]
+    # [w, head.last] = [[w, head], last] - [[w, last], head]
+    out = _apply_right(_word_bracket(left, head), last)
+    _add_scaled(out, -1, _apply_right(_word_bracket(left, last), head))
+    return out
+
+
+def _apply_right(x: dict, right: tuple) -> dict:
+    out: dict = {}
+    for word, c in x.items():
+        _add_scaled(out, c, _word_bracket(word, right))
+    return out
+
+
+def leib_bracket(x: LinComb, y: LinComb) -> LinComb:
+    out: dict = {}
+    for wx, cx in x:
+        for wy, cy in y:
+            _add_scaled(out, cx * cy, _word_bracket(wx, wy))
+    return LinComb._of(out)
+
+
 def ronco_bracket(x: LinComb, y: LinComb) -> LinComb:
-    return project(leib_bracket(section(x), section(y), max_degree=UNCAPPED))
+    return project(leib_bracket(section(x), section(y)))
 
 
 def graded_kernel_basis(d: int, n: int) -> list[LinComb]:

@@ -10,7 +10,10 @@ import sys
 
 import pytest
 
+from roncoalg import ronco
 from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, MAX_CHAIN_DIM, _build_parser, main
+from roncoalg.errors import RoncoError
+from roncoalg.homology import MAX_DENSE_ENTRIES
 from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import free_nil2, ronco_to_mu
@@ -338,6 +341,50 @@ def test_chain_dimension_limit_boundary(tmp_path, capsys, which):
         path.write_text(json.dumps({"dim": dim, "kind": "leibniz",
                                     "bracket": [{"i": 1, "j": 1, "c": [{"k": 1, "v": "1"}]}]}))
         assert run(capsys, ["homology", "--which", which, str(path)])[0] == code, (which, dim)
+
+
+def test_homology_dense_entries_guard(tmp_path, capsys):
+    # unguarded, hl1 of an empty dim-2000 algebra took 10 s, 639 MB and printed 44 MB
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dim": 2000, "kind": "leibniz", "bracket": []}')
+    code, out, err = run(capsys, ["homology", "--which", "hl1", str(empty)])
+    assert (code, out) == (2, "")
+    assert err == ("error: hl1: 2000 representatives of length 2000 (4000000 entries) "
+                   f"exceed the limit of {MAX_DENSE_ENTRIES}\n")
+
+
+# command: (argv, error); unguarded, each ran for many seconds or printed a
+# partial listing before failing
+SIZE_GUARDS = {
+    "witt": (["witt", "--gens", "2", "--max", "30000"], "--max (30000)"),
+    "ronco-dims": (["ronco-dims", "--gens", "100000000000", "--max", "3000"], "--gens (100000000000)"),
+    "free-nil2": (["free-nil2", "--dim", "1000"], "the dimension of free-nil2 (500500)"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIZE_GUARDS))
+def test_size_guard(capsys, command):
+    argv, what = SIZE_GUARDS[command]
+    assert run(capsys, argv) == (2, "", f"error: {what} exceeds the limit of {MAX_BASIS_SIZE}\n")
+
+
+def test_free_nil2_size_limit_boundary(capsys):
+    # dimension d(d+1)/2: 4950 at d = 99, 5050 at d = 100
+    assert run(capsys, ["free-nil2", "--dim", "100"])[0] == 2
+    code, out, _ = run(capsys, ["free-nil2", "--dim", "99"])
+    assert code == 0 and json.loads(out)["dim"] == 4950
+
+
+@pytest.mark.parametrize("command", ["witt", "ronco-dims"])
+def test_dimension_listing_writes_nothing_on_failure(capsys, monkeypatch, command):
+    def dim(d, n):
+        if n == 3:
+            raise RoncoError("no dimension in degree 3")
+        return n
+
+    monkeypatch.setattr("roncoalg.cli.witt_dim", dim)
+    monkeypatch.setattr(ronco, "graded_dim", dim)
+    assert run(capsys, [command, "--gens", "2", "--max", "4"]) == (2, "", "error: no dimension in degree 3\n")
 
 
 PARSER_ARGVS = ([[name, "--help"] for name in _COMMANDS] + [[name] for name in _COMMANDS]

@@ -1,9 +1,11 @@
 """The direct brackets, left-normed bracketings and truncations in Lyndon
-and (Lyndon word, generator) coordinates, compared with the tensor-algebra
-composites and all-pairs loop kept in `free_oracle`, plus the identities
-the free square-identity algebra must satisfy."""
+and (Lyndon word, generator) coordinates, and the free Leibniz bracket on
+words, compared with the tensor-algebra composites, word recursion and
+all-pairs loop kept in `free_oracle`, plus the identities the free
+square-identity algebra must satisfy."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import free_oracle as oracle
 from roncoalg.freelie import left_normed_bracketing, lie_bracket, lyndon_words
+from roncoalg.leibniz import leib_bracket
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import (
     graded_basis,
@@ -45,6 +48,10 @@ def elements(draw, basis, d: int, max_deg: int, max_terms: int = 3) -> LinComb:
     return LinComb(terms)
 
 
+def word_elements(d: int, max_deg: int):
+    return elements(lambda d, n: list(product(range(1, d + 1), repeat=n)), d, max_deg)
+
+
 def lie_elements(d: int, max_deg: int):
     return elements(lambda d, n: list(lyndon_words(d, n)), d, max_deg)
 
@@ -74,6 +81,18 @@ def test_ronco_bracket_matches_oracle(data):
     y = data.draw(ronco_elements(d, MAX_DEGREE - deg_x))
     got = ronco_bracket(x, y)
     assert got == oracle.ronco_bracket(x, y)
+    assert holds_fractions(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_leib_bracket_matches_oracle(data):
+    d = data.draw(st.integers(2, 4))
+    deg_x = data.draw(st.integers(1, MAX_DEGREE - 1))
+    x = data.draw(word_elements(d, deg_x))
+    y = data.draw(word_elements(d, MAX_DEGREE - deg_x))
+    got = leib_bracket(x, y)
+    assert got == oracle.leib_bracket(x, y)
     assert holds_fractions(got)
 
 
