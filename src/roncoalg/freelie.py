@@ -193,32 +193,21 @@ def expand_to_tensor(x: LinComb) -> LinComb:
 def rewrite_to_lyndon(t: LinComb) -> LinComb:
     """Inverse of `expand_to_tensor` on Lie elements.
 
-    Repeatedly clears the lexicographically smallest remaining word, which
-    for a Lie element must be Lyndon; a non-Lyndon leading word means the
-    input was not a Lie element.
+    Repeatedly clears the smallest remaining word, shortest first and then
+    lexicographically, which for a Lie element must be Lyndon; a non-Lyndon
+    leading word means the input was not a Lie element.
     """
-    by_degree: dict[int, dict] = {}
-    for word, c in t:
-        by_degree.setdefault(len(word), {})[word] = c
+    work = dict(t.coeffs)
     result: dict = {}
-    for n in sorted(by_degree):
-        work = by_degree[n]
-        while work:
-            word = min(work)
-            c = work.pop(word)
-            if not is_lyndon(word):
-                raise NotLieElementError(
-                    f"residual tensor term {format_word(word)} has no Lyndon leading word"
-                )
-            for key, ec in _expand_word(word):
-                if key == word:
-                    continue
-                nv = work.get(key, Fraction(0)) - c * ec
-                if nv:
-                    work[key] = nv
-                else:
-                    work.pop(key, None)
-            result[word] = result.get(word, Fraction(0)) + c
+    while work:
+        word = min(work, key=word_sort_key)
+        if not is_lyndon(word):
+            raise NotLieElementError(
+                f"residual tensor term {format_word(word)} has no Lyndon leading word"
+            )
+        c = work[word]
+        _add_scaled(work, -c, _expand_word(word).coeffs)  # clears word: its coefficient is 1
+        result[word] = c
     return LinComb(result)
 
 

@@ -8,21 +8,24 @@
             with coefficients in the adjoint module (x·m = [x,m]).
 
 Index conventions: tensor square (i,j) ↦ i·dim+j; tensor cube likewise
-lexicographic; symmetric-square keys i ≤ j in lexicographic order; wedge
-keys i < j in lexicographic order; m⊗x chains put the module factor first.
+lexicographic; symmetric-square keys i ≤ j in lexicographic order; m⊗x
+chains put the module factor first, so they index like the tensor square.
 
-Each functor only builds sparse chain data; two helpers do the linear
-algebra.  `_quotient` (hl1, hr0) spans the relations once and keeps the
-basis vectors off the pivot columns.  `_homology` (hl2, h1_adjoint) takes
-the outgoing boundary ∂ as sparse columns, checks ∂∘∂ = 0 on every
-incoming boundary, spans the boundaries, and keeps the cycles read off the
-RREF of ∂'s rows that enlarge that span; it then checks that boundaries and
-kept cycles span the whole kernel, that rank and kernel dimension add up to
-the chain dimension, and that every kept cycle has zero boundary.  A failed
-check is an internal bug, not bad input, and raises InternalError (under
-`python -O` as well).  Only the kept representatives are made dense, and
-only if there are at most `MAX_DENSE_ENTRIES` entries in all; more raise
-RoncoError before any of them is built.
+Each functor only builds sparse chain data; three helpers do the rest.
+`_quotient` (hl1, hr0) spans the relations once and keeps the basis
+vectors off the pivot columns.  `_leibniz_complex` (hl2, h1_adjoint)
+builds Loday's d(x⊗y⊗z) over the triples it is given; on a Lie algebra
+the adjoint Chevalley–Eilenberg complex is HL₂'s up to sign (see
+`h1_adjoint`).  `_homology` takes the outgoing boundary ∂ as sparse
+columns, checks ∂∘∂ = 0 on every incoming boundary, spans the boundaries,
+and keeps the cycles read off the RREF of ∂'s rows that enlarge that span;
+it then checks that boundaries and kept cycles span the whole kernel, that
+rank and kernel dimension add up to the chain dimension, and that every
+kept cycle has zero boundary.  A failed check is an internal bug, not bad
+input, and raises InternalError (under `python -O` as well).  Only the kept
+representatives are made dense, and only if there are at most
+`MAX_DENSE_ENTRIES` entries in all; more raise RoncoError before any of
+them is built.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ def hl1(a: StructureAlgebra) -> HomologyReport:
     return _quotient("hl1", a.dim, a.bracket.values())
 
 
-def hl2(a: StructureAlgebra) -> HomologyReport:
-    """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
-    _require(a, "leibniz", "hl2")
+def _leibniz_complex(op: str, a: StructureAlgebra, triples: Iterable[tuple]) -> HomologyReport:
+    """H₂ of Loday's complex 𝔤⊗³ → 𝔤⊗² → 𝔤, boundaries taken over `triples`.
+
+    Column i·n+j of ∂ is [e_i,e_j]; d(i⊗j⊗k) = [i,j]⊗k − [i,k]⊗j − i⊗[j,k].
+    """
     n = a.dim
 
     def boundary(i: int, j: int, k: int) -> dict:
@@ -125,8 +130,14 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
         _add_scaled(col, -1, {i * n + m: c for m, c in a.cell(j, k).items()})
         return col
 
-    return _homology("hl2", [a.cell(i, j) for i, j in product(range(n), repeat=2)],
-                     (boundary(i, j, k) for i, j, k in product(range(n), repeat=3)))
+    return _homology(op, [a.cell(i, j) for i, j in product(range(n), repeat=2)],
+                     (boundary(i, j, k) for i, j, k in triples))
+
+
+def hl2(a: StructureAlgebra) -> HomologyReport:
+    """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
+    _require(a, "leibniz", "hl2")
+    return _leibniz_complex("hl2", a, product(range(a.dim), repeat=3))
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
@@ -151,17 +162,16 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     """H₁ of the Chevalley–Eilenberg complex with adjoint coefficients.
 
     Chains: M⊗Λ²𝔤 → M⊗𝔤 → M with M = 𝔤, x·m = [x,m],
-    d₁(m⊗x) = x·m and d₂(m⊗x∧y) = (x·m)⊗y − (y·m)⊗x + m⊗[x,y]
-    (the relative sign on the m⊗[x,y] term is forced by d₁∘d₂ = 0).
+    d₁(m⊗x) = x·m and d₂(m⊗x∧y) = (x·m)⊗y − (y·m)⊗x + m⊗[x,y].
+    On a Lie algebra this is HL₂'s complex up to sign:
+      * d₁(m⊗x) = [x,m] = −[m,x], the negated bracket column of m⊗x;
+      * d₂(m⊗x∧y) = −d(m⊗x⊗y), the negated Leibniz boundary;
+      * d(m⊗x⊗y) + d(m⊗y⊗x) = −m⊗([x,y]+[y,x]) = 0 (x = y included), so
+        the triples with x < y span every Leibniz boundary.
+    Negating columns or boundaries changes neither span nor RREF, so the
+    report, representatives included, is that of `hl2`.
     """
     _require(a, "lie", "h1_adjoint")
     n = a.dim
-
-    def boundary(m: int, x: int, y: int) -> dict:
-        col = {p * n + y: c for p, c in a.cell(x, m).items()}
-        _add_scaled(col, -1, {p * n + x: c for p, c in a.cell(y, m).items()})
-        _add_scaled(col, 1, {m * n + q: c for q, c in a.cell(x, y).items()})
-        return col
-
-    return _homology("h1_adjoint", [a.cell(x, m) for m, x in product(range(n), repeat=2)],
-                     (boundary(m, x, y) for m in range(n) for x in range(n) for y in range(x + 1, n)))
+    return _leibniz_complex("h1_adjoint", a,
+                            ((m, x, y) for m in range(n) for x in range(n) for y in range(x + 1, n)))

@@ -32,6 +32,8 @@ def leib_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -
     """Bracket of two word combinations, bilinear in both slots."""
     if x.is_zero() or y.is_zero():
         return LinComb.zero()
+    if () in x.coeffs:
+        raise ValueError("the empty word is no element of the free Leibniz algebra")
     total = element_degree(x) + element_degree(y)
     if total > max_degree:
         raise DegreeOverflowError(

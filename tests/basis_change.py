@@ -1,0 +1,52 @@
+"""A random GL_n(ℚ) change of basis for structure-constant algebras, shared
+by the property tests."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from roncoalg.structure import StructureAlgebra, bracket_eval
+
+SCALES = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-1/3")])
+
+
+def inverse(p: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Dense Gauss–Jordan inverse; `p` is known to be invertible."""
+    n = len(p)
+    rows = [list(p[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+@st.composite
+def invertible(draw, n: int) -> list[list[Fraction]]:
+    """A scaled permutation matrix followed by up to n shears
+    (column x += c·column y), so the new basis stays fairly sparse."""
+    perm = draw(st.permutations(range(n)))
+    p = [[draw(SCALES) if perm[i] == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, n))):
+        x, y, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(SCALES)
+        if x != y:
+            for row in p:
+                row[x] += c * row[y]
+    return p
+
+
+def change_basis(a: StructureAlgebra, p: list[list[Fraction]]) -> StructureAlgebra:
+    """Structure constants in the basis e'_x = Σ_i p[i][x]·e_i."""
+    n = a.dim
+    p_inv = inverse(p)
+    columns = [[p[i][x] for i in range(n)] for x in range(n)]
+    table = {}
+    for x in range(n):
+        for y in range(n):
+            w = bracket_eval(a, columns[x], columns[y])
+            table[(x, y)] = {k: sum(p_inv[k][m] * w[m] for m in range(n)) for k in range(n)}
+    return StructureAlgebra(n, table)

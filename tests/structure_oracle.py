@@ -3,13 +3,16 @@
 These are the dense loops that `roncoalg.structure` used before its
 identity table: every basis tuple is visited, empty cells included.  They
 are kept, unchanged, only so that tests can compare the table-driven
-evaluator against them report for report.
+evaluator against them report for report.  `lie_quotient` is the version
+that closed the span of squares under both multiplications before taking
+the quotient; the closure never adds a vector to a Leibniz algebra's span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from roncoalg.errors import NotInVarietyError
 from roncoalg.linalg import SpanBuilder
 from roncoalg.structure import (
     _EMPTY,
@@ -20,6 +23,7 @@ from roncoalg.structure import (
     _act_left,
     _act_right,
     _add_scaled,
+    _ann_span,
 )
 
 
@@ -181,3 +185,35 @@ def ann_span(a: StructureAlgebra) -> SpanBuilder:
             if acc:
                 sb.add(acc)
     return sb
+
+
+def lie_quotient(a: StructureAlgebra) -> StructureAlgebra:
+    """Quotient by the two-sided ideal generated by all squares.
+
+    The result is presented on the complement of the ideal's pivot
+    coordinates (so its basis is a subset of the input basis, in order)
+    and satisfies the Lie identities whenever the input is Leibniz.
+    """
+    report = verify_variety(a, "leibniz")
+    if not report.ok:
+        raise NotInVarietyError("lie_quotient needs a Leibniz algebra", report)
+    bk = a.bracket
+    sb = _ann_span(a)
+    changed = True
+    while changed:
+        changed = False
+        for vd in sb.rows():  # live rows: an add may reduce vd in place, within the same span
+            for i in range(a.dim):
+                for image in (_act_left(bk, i, vd), _act_right(bk, vd, i)):
+                    if image and sb.add(image):
+                        changed = True
+    pivots = set(sb.pivot_columns())
+    kept = [i for i in range(a.dim) if i not in pivots]
+    pos = {b: q for q, b in enumerate(kept)}
+    bracket: dict = {}
+    for qi, bi in enumerate(kept):
+        for qj, bj in enumerate(kept):
+            residual = sb.reduce(a.cell(bi, bj))
+            if residual:
+                bracket[(qi, qj)] = {pos[m]: c for m, c in residual.items()}
+    return StructureAlgebra(len(kept), bracket)

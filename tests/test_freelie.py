@@ -140,6 +140,12 @@ def test_rewrite_rejects_non_lie_tensors():
         rewrite_to_lyndon(LinComb.basis((2, 1)))
 
 
+def test_rewrite_clears_shorter_words_first():
+    # 111 < 21 lexicographically, but the shorter word is cleared (and named) first
+    with pytest.raises(NotLieElementError, match=r"term 21 "):
+        rewrite_to_lyndon(LinComb.basis((2, 1)) + LinComb.basis((1, 1, 1)))
+
+
 def test_bracket_small_values():
     g1, g2 = lie_generator(1), lie_generator(2)
     assert lie_bracket(g1, g2) == LinComb.basis((1, 2))

@@ -116,3 +116,12 @@ def test_eval_term():
         eval_term(parse_term("[g1,g3]"), 2)
     with pytest.raises(DegreeOverflowError):
         eval_term(parse_term("[[g1,g2],[g1,g2]]"), 2, max_degree=3)
+
+
+def test_bracket_rejects_the_empty_word_on_the_left():
+    # the empty word once acted like the unit: [(), g1] returned g1
+    g1 = leib_generator(1)
+    with pytest.raises(ValueError, match="empty word"):
+        leib_bracket(LinComb.basis(()), g1)
+    with pytest.raises(ValueError, match="empty word"):
+        leib_bracket(LinComb.basis(()) + LinComb.basis((2,)), g1)
