@@ -35,7 +35,8 @@ from .terms import parse_term
 # they bound the cost of the estimate; past the limit, either one alone
 # gives a larger basis unless there is a single generator.  `witt` and
 # `ronco-dims` list one dimension per degree and check only the generator
-# count and the degree.  Near the limit a truncation takes about 3 s
+# count and the degree, and then each dimension against Python's limit on the
+# digits of a printed integer.  Near the limit a truncation takes about 3 s
 # (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
 MAX_BASIS_SIZE = 5000
 
@@ -102,7 +103,15 @@ def _print_dims(args, dim) -> int:
         raise RoncoError(f"--max must be >= 1, got {args.max}")
     _check_size("--gens", args.gens)
     _check_size("--max", args.max)
-    sys.stdout.write("".join(f"{n}\t{dim(args.gens, n)}\n" for n in range(1, args.max + 1)))
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit on printed digits
+    lines = []
+    for n in range(1, args.max + 1):
+        d = dim(args.gens, n)
+        if digits and d >= 10**digits:
+            raise RoncoError(f"--gens ({args.gens}) and --max ({args.max}) give a dimension longer than "
+                             f"{digits} digits, the limit for printing an integer")
+        lines.append(f"{n}\t{d}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -10,15 +10,19 @@ tuples and return the violations as data; the conversion maps between the
 two presentations refuse inputs whose report is non-empty.
 
 The identities are rows of one table, each a signed sum of bracket
-monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; one evaluator
-visits only the index tuples that a nonzero cell reaches, so the cost
-follows the nonzero cells, not dim³.  A variety is a list of rows in
-`_VARIETY_GROUPS`: "symmetric-leibniz", the right/left Leibniz pair, is the
-"leibniz" row plus ``"right-leibniz", "+b(b(i,j),k) -b(i,b(j,k)) +b(j,b(i,k))"``.
+monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; a variety is
+a list of rows in `_VARIETY_GROUPS`.  One evaluator visits only the index
+tuples that a nonzero value reaches, so the cost follows the nonzero cells,
+not dim³.  It computes in `int`s on the tables times D, the lcm of all their
+denominators, and builds every composite such as [[e_x,e_y],e_z] once per
+call, shared by all rows and all permuted tuples.  A row is all cells or all
+nested monomials, so its sum is D or D² times the true value; a violation's
+residual is that sum divided back, the exact tuple of Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,7 +43,7 @@ def _normalize_table(dim: int, table: dict) -> dict:
         for k, v in cell.items():
             if not 0 <= k < dim:
                 raise ValueError(f"value index {k} out of range for dimension {dim}")
-            v = Fraction(v)
+            v = v if type(v) is Fraction else Fraction(v)
             if v:
                 ncell[k] = v
         if ncell:
@@ -115,24 +119,6 @@ def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
     return _dense(dim, {i: Fraction(1)})
 
 
-# sparse one-sided actions used by the identity checks
-
-def _act_left(table: dict, i: int, vec: dict) -> dict:
-    """[e_i, vec] as a sparse dict."""
-    out: dict = {}
-    for m, c in vec.items():
-        _add_scaled(out, c, table.get((i, m), _EMPTY))
-    return out
-
-
-def _act_right(table: dict, vec: dict, j: int) -> dict:
-    """[vec, e_j] as a sparse dict."""
-    out: dict = {}
-    for m, c in vec.items():
-        _add_scaled(out, c, table.get((m, j), _EMPTY))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # identity verification
 
@@ -159,11 +145,15 @@ class VerificationReport(Record):
 # indices).  Monomials are written over the tables b (the bracket), l and p
 # (bracket and product of a mu-algebra) and the variables i, j, k:
 #   +t(x,y)          the cell [e_x, e_y] of t
-#   +o(x,t(y,z))     [e_x, [e_y, e_z]] = _act_left(o, x, t[(y, z)])
-#   +o(t(x,y),z)     [[e_x, e_y], e_z] = _act_right(o, t[(x, y)], z)
-# A variable may repeat; every monomial of a row must use all its variables.
-# A group of rows is checked in one pass over the index tuples, so that
-# their violations interleave tuple by tuple.
+#   +o(x,t(y,z))     [e_x, [e_y, e_z]], shape "left"
+#   +o(t(x,y),z)     [[e_x, e_y], e_z], shape "right"
+# A variable may repeat; every monomial of a row must use all its variables,
+# and a row is all cells or all nested monomials.  A group of rows is checked
+# in one pass over the index tuples, so that their violations interleave
+# tuple by tuple.  A monomial is (sign, (shape, outer, inner), args, read,
+# repeated): `args` reads its slots (x, y[, z]) off an index tuple, and `read`
+# reads the index tuple off the slots, each variable from its first slot
+# (a 1-tuple when there is one variable).
 
 def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
     monomials = []
@@ -175,7 +165,12 @@ def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
             shape = ("left", letters[0], letters[2], letters[1:2] + letters[3:])
         else:
             shape = ("right", letters[0], letters[1], letters[2:])
-        monomials.append((sign, *shape[:3], tuple("ijk".index(c) for c in shape[3])))
+        slots = ["ijk".index(c) for c in shape[3]]
+        first = [slots.index(v) for v in range(max(slots) + 1)]
+        read = operator.itemgetter(*first) if len(first) > 1 else operator.itemgetter(slice(1))
+        monomials.append((sign, shape[:3], operator.itemgetter(*slots), read, len(first) < len(slots)))
+    if len({mono[1][0] == "cell" for mono in monomials}) > 1:
+        raise ValueError(f"row {axiom!r} mixes cell monomials with nested ones")
     return axiom, monomials, keep
 
 
@@ -201,56 +196,59 @@ _MU_GROUPS = [
 ]
 
 
-def _candidates(monomial: tuple, tables: dict, partners: dict):
-    """Index tuples at which the monomial can be nonzero, from the nonzero cells."""
-    _, shape, outer, inner, variables = monomial
+def _composites(tables: dict, partners: dict, shape: str, outer: str, inner: str) -> dict:
+    """{(x, y, z): value} for every nonzero o(x,t(y,z)) ("left") or o(t(x,y),z) ("right")."""
+    out: dict = {}
+    o = tables[outer]
     for (x, y), cell in tables[inner].items():
-        if shape == "cell":
-            values = [(x, y)]
-        elif shape == "left":
-            values = [(a, x, y) for m in cell for a in partners.get((outer, 0, m), ())]
-        else:
-            values = [(x, y, c) for m in cell for c in partners.get((outer, 1, m), ())]
-        for vals in values:
-            bound: dict = {}
-            if all(bound.setdefault(var, val) == val for var, val in zip(variables, vals)):
-                yield tuple(bound[v] for v in range(len(bound)))
-
-
-def _value(monomial: tuple, tables: dict, t: tuple) -> dict:
-    _, shape, outer, inner, variables = monomial
-    x, y, *z = (t[v] for v in variables)
-    if shape == "cell":
-        return tables[inner].get((x, y), _EMPTY)
-    if shape == "left":
-        return _act_left(tables[outer], x, tables[inner].get((y, z[0]), _EMPTY))
-    return _act_right(tables[outer], tables[inner].get((x, y), _EMPTY), z[0])
+        for m, c in cell.items():
+            if shape == "left":
+                for a in partners.get((outer, 0, m), ()):
+                    _add_scaled(out.setdefault((a, x, y), {}), c, o[(a, m)])
+            else:
+                for z in partners.get((outer, 1, m), ()):
+                    _add_scaled(out.setdefault((x, y, z), {}), c, o[(m, z)])
+    return {key: value for key, value in out.items() if value}
 
 
 def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
-    """Evaluate each group of rows at the index tuples its nonzero cells reach.
+    """Evaluate each group of rows at the index tuples its nonzero values reach.
 
     The tuples are visited in lexicographic order, so the violations come
     out as a loop over all basis tuples would list them.
     """
+    scale = math.lcm(*{v.denominator for table in tables.values() for cell in table.values()
+                       for v in cell.values()})
+    tables = {name: {key: {k: v.numerator * (scale // v.denominator) for k, v in cell.items()}
+                     for key, cell in table.items()} for name, table in tables.items()}
     partners: dict = {}  # (table, 0, m) -> [a : (a, m) nonzero], (table, 1, m) -> [c : (m, c) nonzero]
     for name, table in tables.items():
         for a, c in table:
             partners.setdefault((name, 0, c), []).append(a)
             partners.setdefault((name, 1, a), []).append(c)
+    # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
+    families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
+    values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, partners, *f) for f in families}
     violations = []
     for group in groups:
-        candidates = {t for _, monomials, _ in group for mono in monomials
-                      for t in _candidates(mono, tables, partners)}
+        candidates: set = set()
+        for _, monomials, _ in group:
+            for _, family, args, read, repeated in monomials:
+                support = values[family]
+                if repeated:  # a variable in two slots binds only where they agree
+                    support = [slots for slots in support if args(read(slots)) == slots]
+                candidates.update(map(read, support))
         for t in sorted(candidates):
             for axiom, monomials, keep in group:
                 if keep and not keep(*t):
                     continue
                 acc: dict = {}
-                for mono in monomials:
-                    _add_scaled(acc, mono[0], _value(mono, tables, t))
-                if acc:
-                    violations.append(Violation(axiom, tuple(i + 1 for i in t), _dense(dim, acc)))
+                for sign, family, args, _, _ in monomials:
+                    _add_scaled(acc, sign, values[family].get(args(t), _EMPTY))
+                if acc:  # a cell row sums D times the true values, a nested row D² times
+                    d = scale if monomials[0][1][0] == "cell" else scale * scale
+                    residual = _dense(dim, {k: Fraction(v, d) for k, v in acc.items()})
+                    violations.append(Violation(axiom, tuple(i + 1 for i in t), residual))
     return tuple(violations)
 
 

@@ -3,7 +3,9 @@
 These are the dense loops that `roncoalg.structure` used before its
 identity table: every basis tuple is visited, empty cells included.  They
 are kept, unchanged, only so that tests can compare the table-driven
-evaluator against them report for report.  `lie_quotient` is the version
+evaluator against them report for report.  They compose brackets with the
+Fraction actions `_act_left` / `_act_right`, which the evaluator no longer
+uses: it works on integer-scaled tables.  `lie_quotient` is the version
 that closed the span of squares under both multiplications before taking
 the quotient; the closure never adds a vector to a Leibniz algebra's span.
 """
@@ -20,11 +22,25 @@ from roncoalg.structure import (
     StructureAlgebra,
     VerificationReport,
     Violation,
-    _act_left,
-    _act_right,
     _add_scaled,
     _ann_span,
 )
+
+
+def _act_left(table: dict, i: int, vec: dict) -> dict:
+    """[e_i, vec] as a sparse dict."""
+    out: dict = {}
+    for m, c in vec.items():
+        _add_scaled(out, c, table.get((i, m), _EMPTY))
+    return out
+
+
+def _act_right(table: dict, vec: dict, j: int) -> dict:
+    """[vec, e_j] as a sparse dict."""
+    out: dict = {}
+    for m, c in vec.items():
+        _add_scaled(out, c, table.get((m, j), _EMPTY))
+    return out
 
 
 class _Checker:

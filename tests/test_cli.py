@@ -387,6 +387,20 @@ def test_dimension_listing_writes_nothing_on_failure(capsys, monkeypatch, comman
     assert run(capsys, [command, "--gens", "2", "--max", "4"]) == (2, "", "error: no dimension in degree 3\n")
 
 
+PRINT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not PRINT_DIGITS, reason="this Python prints integers of any length")
+@pytest.mark.parametrize("command", ["witt", "ronco-dims"])
+def test_dimension_listing_past_the_digit_limit_exits_2(capsys, command):
+    # on 5000 generators the dimension of degree 1164 is the first past 4300 digits
+    error = ("error: --gens (5000) and --max (5000) give a dimension longer than "
+             f"{PRINT_DIGITS} digits, the limit for printing an integer\n")
+    assert run(capsys, [command, "--gens", "5000", "--max", "5000"]) == (2, "", error)
+    if PRINT_DIGITS == 4300:
+        assert run(capsys, [command, "--gens", "5000", "--max", "1164"])[:2] == (2, "")
+
+
 PARSER_ARGVS = ([[name, "--help"] for name in _COMMANDS] + [[name] for name in _COMMANDS]
                 + [["--help"], ["no-such-command"], []])
 

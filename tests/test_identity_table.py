@@ -3,6 +3,7 @@ report for report with the dense loops kept in `structure_oracle`."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from roncoalg.structure import (
     MuAlgebra,
     StructureAlgebra,
     _ann_span,
+    _row,
     cross_product,
     free_nil2,
     mu_to_ronco,
@@ -23,10 +25,16 @@ from roncoalg.structure import (
 ONE = Fraction(1)
 VARIETIES = ("leibniz", "lie", "ronco", "symmetric-leibniz")
 COEFFICIENTS = st.sampled_from([Fraction(c) for c in ("-2", "-1", "-1/2", "1/3", "1", "3/2")])
+# coprime and large denominators and large numerators: the evaluator scales
+# every table by the lcm of its denominators, so residuals divide by up to
+# (5·7·11·16·(10⁶+3))²
+HEAVY_COEFFICIENTS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                               st.sampled_from([1, 5, 7, 11, 16, 10**6 + 3]))
 
 
 @st.composite
-def tables(draw, keys: range, values: range, symmetry=st.sampled_from([0, 1, -1])):
+def tables(draw, keys: range, values: range, symmetry=st.sampled_from([0, 1, -1]),
+           coefficients=COEFFICIENTS):
     """A sparse table with cells (i, j) over `keys` and entries over `values`.
 
     symmetry 1 or -1 makes the table symmetric or antisymmetric, so that
@@ -34,7 +42,7 @@ def tables(draw, keys: range, values: range, symmetry=st.sampled_from([0, 1, -1]
     """
     if not keys or not values:
         return {}
-    cells = st.dictionaries(st.sampled_from(values), COEFFICIENTS, min_size=1, max_size=2)
+    cells = st.dictionaries(st.sampled_from(values), coefficients, min_size=1, max_size=2)
     pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
     table = draw(st.dictionaries(pairs, cells, max_size=2 * len(keys)))
     sign = draw(symmetry)
@@ -44,36 +52,50 @@ def tables(draw, keys: range, values: range, symmetry=st.sampled_from([0, 1, -1]
     return table
 
 
+def exact(report):
+    """The report, after checking that every residual entry is a Fraction
+    (`==` cannot tell the int 0 from Fraction(0))."""
+    assert all(type(v) is Fraction for violation in report.violations for v in violation.residual)
+    return report
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_verify_variety_matches_oracle(data):
+@given(st.data(), st.sampled_from([COEFFICIENTS, HEAVY_COEFFICIENTS]))
+def test_verify_variety_matches_oracle(data, coefficients):
     dim = data.draw(st.integers(1, 5))
-    a = StructureAlgebra(dim, data.draw(tables(range(dim), range(dim))))
+    a = StructureAlgebra(dim, data.draw(tables(range(dim), range(dim), coefficients=coefficients)))
     for variety in VARIETIES:
-        assert verify_variety(a, variety) == oracle.verify_variety(a, variety)
+        assert exact(verify_variety(a, variety)) == oracle.verify_variety(a, variety)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.booleans())
-def test_verify_mu_matches_oracle(data, symmetric):
+@given(st.data(), st.booleans(), st.sampled_from([COEFFICIENTS, HEAVY_COEFFICIENTS]))
+def test_verify_mu_matches_oracle(data, symmetric, coefficients):
     dim = data.draw(st.integers(1, 5))
-    m = MuAlgebra(dim, data.draw(tables(range(dim), range(dim), st.sampled_from([0, -1]))),
-                  data.draw(tables(range(dim), range(dim), st.sampled_from([0, 1]))))
-    assert verify_mu(m, symmetric) == oracle.verify_mu(m, symmetric)
+    m = MuAlgebra(dim, data.draw(tables(range(dim), range(dim), st.sampled_from([0, -1]), coefficients)),
+                  data.draw(tables(range(dim), range(dim), st.sampled_from([0, 1]), coefficients)))
+    assert exact(verify_mu(m, symmetric)) == oracle.verify_mu(m, symmetric)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_conversions_match_oracle(data):
+@given(st.data(), st.sampled_from([COEFFICIENTS, HEAVY_COEFFICIENTS]))
+def test_conversions_match_oracle(data, coefficients):
     # brackets of the first `low` basis vectors land in the rest, which
     # brackets to zero: a 2-step nilpotent Leibniz algebra, so in 'ronco'
     dim = data.draw(st.integers(1, 5))
     low = data.draw(st.integers(0, dim))
-    a = StructureAlgebra(dim, data.draw(tables(range(low), range(low, dim))))
+    a = StructureAlgebra(dim, data.draw(tables(range(low), range(low, dim), coefficients=coefficients)))
     m = ronco_to_mu(a)
     assert m == oracle.split_bracket(a)
     assert mu_to_ronco(m) == oracle.recombine(m) == a
     assert _ann_span(a).basis() == oracle.ann_span(a).basis()
+
+
+def test_row_rejects_a_mix_of_cells_and_nested_monomials():
+    # the evaluator divides a cell row by D and a nested row by D²
+    with pytest.raises(ValueError, match="mixes cell monomials with nested ones"):
+        _row("mixed", "+b(i,j) -b(i,b(i,j))")
+    assert _row("cells", "+b(i,j) +b(j,i)")[0] == "cells"
 
 
 def test_stock_algebras_match_oracle():
@@ -81,10 +103,10 @@ def test_stock_algebras_match_oracle():
     algebras += [truncate_to_structure(g, d) for g, d in ((1, 2), (2, 2), (2, 3), (1, 4))]
     for a in algebras:
         for variety in VARIETIES:
-            assert verify_variety(a, variety) == oracle.verify_variety(a, variety)
+            assert exact(verify_variety(a, variety)) == oracle.verify_variety(a, variety)
         m = oracle.split_bracket(a)
         for symmetric in (False, True):
-            assert verify_mu(m, symmetric) == oracle.verify_mu(m, symmetric)
+            assert exact(verify_mu(m, symmetric)) == oracle.verify_mu(m, symmetric)
 
 
 def listing(report):

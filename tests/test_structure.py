@@ -57,6 +57,17 @@ def test_table_normalization_and_equality():
         StructureAlgebra(2, {(0, 0): {2: 1}})
 
 
+def test_normalization_keeps_fractions_and_converts_the_rest():
+    class Third(Fraction):
+        pass
+
+    half = Fraction(1, 2)
+    a = StructureAlgebra(2, {(0, 0): {0: half, 1: Third(1, 3)}, (0, 1): {0: 2, 1: "3/4"}})
+    assert a.cell(0, 0)[0] is half
+    assert a.bracket == {(0, 0): {0: half, 1: Fraction(1, 3)}, (0, 1): {0: Fraction(2), 1: Fraction(3, 4)}}
+    assert all(type(v) is Fraction for cell in a.bracket.values() for v in cell.values())
+
+
 def test_bracket_eval():
     assert bracket_eval(abelian(3), basis_vector(3, 0), basis_vector(3, 1)) == (0, 0, 0)
     nil2 = free_nil2(2)
