@@ -9,7 +9,10 @@ Algebra schema (1-based indices, zero cells omitted):
 
 Output is order-canonicalized — rows sorted by (i, j), entries by k,
 rationals in reduced "p" / "p/q" form — so equal algebras serialize to
-identical bytes.  `dumps_canonical` fixes indent 2 and a trailing newline.
+identical bytes, with indent 2 and a trailing newline.  Algebras go through
+`dumps_algebra`, a direct writer for this one schema; reports and kernels
+build plain objects and go through `dumps_canonical`, which prints the same
+layout with the standard library's encoder.
 """
 
 from __future__ import annotations
@@ -32,29 +35,25 @@ def dumps_canonical(obj) -> str:
 # ---------------------------------------------------------------------------
 # structure-constant algebras
 
-def _table_to_rows(table: dict) -> list:
-    rows = []
-    for i, j in sorted(table):
-        cell = table[(i, j)]
-        rows.append({
-            "i": i + 1,
-            "j": j + 1,
-            "c": [{"k": k + 1, "v": format_rational(v)} for k, v in sorted(cell.items())],
-        })
-    return rows
+# The one fixed schema, written from templates, because `json.dumps` with
+# an indent runs CPython's pure-Python encoder.  Every value is a normalized
+# Fraction, whose str is `format_rational`'s "p" or "p/q", and every dim and
+# index is an int (the constructors check both), so `%d` and `%s` print the
+# bytes `dumps_canonical` would.
+_LEIBNIZ = '{\n  "dim": %d,\n  "kind": "leibniz",\n  "bracket": %s\n}\n'
+_MU = '{\n  "dim": %d,\n  "kind": "mu",\n  "lie_bracket": %s,\n  "product": %s\n}\n'
+_ROW = '\n    {\n      "i": %d,\n      "j": %d,\n      "c": [%s\n      ]\n    }'
+_ENTRY = '\n        {\n          "k": %d,\n          "v": "%s"\n        }'
 
 
-def algebra_to_obj(x: StructureAlgebra | MuAlgebra) -> dict:
-    if isinstance(x, StructureAlgebra):
-        return {"dim": x.dim, "kind": "leibniz", "bracket": _table_to_rows(x.bracket)}
-    if isinstance(x, MuAlgebra):
-        return {
-            "dim": x.dim,
-            "kind": "mu",
-            "lie_bracket": _table_to_rows(x.lie_bracket),
-            "product": _table_to_rows(x.product),
-        }
-    raise TypeError(f"not an algebra: {x!r}")
+def _rows_text(table: dict) -> str:
+    if not table:
+        return "[]"
+    rows = ",".join([
+        _ROW % (i + 1, j + 1, ",".join([_ENTRY % (k + 1, v) for k, v in sorted(table[i, j].items())]))
+        for i, j in sorted(table)
+    ])
+    return "[" + rows + "\n  ]"
 
 
 def _rows_to_table(rows, dim: int, what: str) -> dict:
@@ -113,7 +112,13 @@ def loads_algebra(text: str) -> StructureAlgebra | MuAlgebra:
 
 
 def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:
-    return dumps_canonical(algebra_to_obj(x))
+    """The canonical JSON text of an algebra, byte for byte what
+    `dumps_canonical` prints for its schema object."""
+    if isinstance(x, StructureAlgebra):
+        return _LEIBNIZ % (x.dim, _rows_text(x.bracket))
+    if isinstance(x, MuAlgebra):
+        return _MU % (x.dim, _rows_text(x.lie_bracket), _rows_text(x.product))
+    raise TypeError(f"not an algebra: {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,25 @@ from .lincomb import Record, _add_scaled
 from .linalg import SpanBuilder, _dense
 
 _EMPTY: dict = {}
+_ZERO = Fraction(0)
+
+
+def _check_dim(dim: int):
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dimension must be a nonnegative int, got {dim!r}")
 
 
 def _normalize_table(dim: int, table: dict) -> dict:
+    """The table with every value a Fraction and no zeros.  Every index
+    must be an int, as the JSON reader requires: the writer prints it with %d."""
     out: dict = {}
     for (i, j), cell in table.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"table index ({i}, {j}) out of range for dimension {dim}")
+        if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"table index ({i!r}, {j!r}) is no int pair in range for dimension {dim}")
         ncell: dict = {}
         for k, v in cell.items():
-            if not 0 <= k < dim:
-                raise ValueError(f"value index {k} out of range for dimension {dim}")
+            if not (type(k) is int and 0 <= k < dim):
+                raise ValueError(f"value index {k!r} is no int in range for dimension {dim}")
             v = v if type(v) is Fraction else Fraction(v)
             if v:
                 ncell[k] = v
@@ -57,8 +65,7 @@ class StructureAlgebra(Record):
     __slots__ = ("dim", "bracket")
 
     def __init__(self, dim: int, bracket: dict | None = None):
-        if dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        _check_dim(dim)
         super().__init__(dim, _normalize_table(dim, bracket or {}))
 
     def cell(self, i: int, j: int) -> dict:
@@ -72,8 +79,7 @@ class MuAlgebra(Record):
     __slots__ = ("dim", "lie_bracket", "product")
 
     def __init__(self, dim: int, lie_bracket: dict | None = None, product: dict | None = None):
-        if dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {dim}")
+        _check_dim(dim)
         super().__init__(dim, _normalize_table(dim, lie_bracket or {}),
                          _normalize_table(dim, product or {}))
 
@@ -283,22 +289,30 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # conversions
 
+def _over_common_denominator(s: dict, t: dict):
+    """(k, x, y, n) with s[k] = x/n and t[k] = y/n, for every k of either cell."""
+    for k in s.keys() | t.keys():
+        u, w = s.get(k, _ZERO), t.get(k, _ZERO)
+        q, d = u.denominator, w.denominator
+        yield k, u.numerator * d, w.numerator * q, q * d
+
+
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2."""
     report = verify_variety(a, "ronco")
     if not report.ok:
         raise NotInVarietyError("input does not satisfy the square-bracket identities", report)
-    half = Fraction(1, 2)
     lie: dict = {}
     prod: dict = {}
-    for i, j in sorted(a.bracket.keys() | {(j, i) for i, j in a.bracket}):
-        for table, sign in ((lie, -half), (prod, half)):
-            acc: dict = {}
-            _add_scaled(acc, half, a.cell(i, j))
-            _add_scaled(acc, sign, a.cell(j, i))
-            if acc:
-                table[(i, j)] = acc
-    return MuAlgebra(a.dim, lie, prod)
+    for i, j in a.bracket.keys() | {(j, i) for i, j in a.bracket}:
+        lie[(i, j)] = anti = {}
+        prod[(i, j)] = sym = {}
+        for k, x, y, n in _over_common_denominator(a.cell(i, j), a.cell(j, i)):
+            if x != y:
+                anti[k] = Fraction(x - y, 2 * n)
+            if x != -y:
+                sym[k] = Fraction(x + y, 2 * n)
+    return MuAlgebra(a.dim, lie, prod)  # which drops the empty cells
 
 
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
@@ -307,12 +321,10 @@ def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
     if not report.ok:
         raise NotInVarietyError("input does not satisfy the bracket/product axioms", report)
     bracket: dict = {}
-    for i, j in sorted(m.lie_bracket.keys() | m.product.keys()):
-        acc = dict(m.lie_cell(i, j))
-        _add_scaled(acc, Fraction(1), m.product_cell(i, j))
-        if acc:
-            bracket[(i, j)] = acc
-    return StructureAlgebra(m.dim, bracket)
+    for i, j in m.lie_bracket.keys() | m.product.keys():
+        bracket[(i, j)] = {k: Fraction(x + y, n) for k, x, y, n
+                           in _over_common_denominator(m.lie_cell(i, j), m.product_cell(i, j)) if x != -y}
+    return StructureAlgebra(m.dim, bracket)  # which drops the empty cells
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +396,6 @@ def free_nil2(d: int) -> StructureAlgebra:
 
 
 def abelian(dim: int) -> StructureAlgebra:
-    if dim < 0:
-        raise ValueError(f"dimension must be nonnegative, got {dim}")
     return StructureAlgebra(dim, {})
 
 

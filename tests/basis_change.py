@@ -1,5 +1,5 @@
-"""A random GL_n(ℚ) change of basis for structure-constant algebras, shared
-by the property tests."""
+"""A random GL_n(ℚ) change of basis for structure-constant algebras, and
+coefficients of large height, shared by the property tests."""
 
 from fractions import Fraction
 
@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from roncoalg.structure import StructureAlgebra, bracket_eval
 
 SCALES = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-1/3")])
+# coprime and large denominators and large numerators: the identity checks
+# scale every table by the lcm of its denominators, so residuals divide by up
+# to (5·7·11·16·(10⁶+3))²
+HEAVY_COEFFICIENTS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                               st.sampled_from([1, 5, 7, 11, 16, 10**6 + 3]))
 
 
 def inverse(p: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -8,6 +8,8 @@ Fraction actions `_act_left` / `_act_right`, which the evaluator no longer
 uses: it works on integer-scaled tables.  `lie_quotient` is the version
 that closed the span of squares under both multiplications before taking
 the quotient; the closure never adds a vector to a Leibniz algebra's span.
+`split_bracket_by_halves` and `recombine_by_scaling` are the sparse
+conversions that scaled whole cells by ½ and by 1 through `_add_scaled`.
 """
 
 from __future__ import annotations
@@ -189,6 +191,33 @@ def recombine(m: MuAlgebra) -> StructureAlgebra:
             _add_scaled(acc, Fraction(1), m.product_cell(i, j))
             if acc:
                 bracket[(i, j)] = acc
+    return StructureAlgebra(m.dim, bracket)
+
+
+def split_bracket_by_halves(a: StructureAlgebra) -> MuAlgebra:
+    """The sparse body that `ronco_to_mu` had, after its variety check,
+    before it split each pair of cells in one pass over common denominators."""
+    half = Fraction(1, 2)
+    lie: dict = {}
+    prod: dict = {}
+    for i, j in sorted(a.bracket.keys() | {(j, i) for i, j in a.bracket}):
+        for table, sign in ((lie, -half), (prod, half)):
+            acc: dict = {}
+            _add_scaled(acc, half, a.cell(i, j))
+            _add_scaled(acc, sign, a.cell(j, i))
+            if acc:
+                table[(i, j)] = acc
+    return MuAlgebra(a.dim, lie, prod)
+
+
+def recombine_by_scaling(m: MuAlgebra) -> StructureAlgebra:
+    """The sparse body that `mu_to_ronco` had, after its axiom check."""
+    bracket: dict = {}
+    for i, j in sorted(m.lie_bracket.keys() | m.product.keys()):
+        acc = dict(m.lie_cell(i, j))
+        _add_scaled(acc, Fraction(1), m.product_cell(i, j))
+        if acc:
+            bracket[(i, j)] = acc
     return StructureAlgebra(m.dim, bracket)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
+from basis_change import HEAVY_COEFFICIENTS, change_basis, invertible
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import (
     MuAlgebra,
@@ -25,11 +26,6 @@ from roncoalg.structure import (
 ONE = Fraction(1)
 VARIETIES = ("leibniz", "lie", "ronco", "symmetric-leibniz")
 COEFFICIENTS = st.sampled_from([Fraction(c) for c in ("-2", "-1", "-1/2", "1/3", "1", "3/2")])
-# coprime and large denominators and large numerators: the evaluator scales
-# every table by the lcm of its denominators, so residuals divide by up to
-# (5·7·11·16·(10⁶+3))²
-HEAVY_COEFFICIENTS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
-                               st.sampled_from([1, 5, 7, 11, 16, 10**6 + 3]))
 
 
 @st.composite
@@ -86,9 +82,27 @@ def test_conversions_match_oracle(data, coefficients):
     low = data.draw(st.integers(0, dim))
     a = StructureAlgebra(dim, data.draw(tables(range(low), range(low, dim), coefficients=coefficients)))
     m = ronco_to_mu(a)
-    assert m == oracle.split_bracket(a)
-    assert mu_to_ronco(m) == oracle.recombine(m) == a
+    assert m == oracle.split_bracket(a) == oracle.split_bracket_by_halves(a)
+    assert mu_to_ronco(m) == oracle.recombine(m) == oracle.recombine_by_scaling(m) == a
     assert _ann_span(a).basis() == oracle.ann_span(a).basis()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_conversions_match_the_scaled_passes_after_a_change_of_basis(data):
+    # a 2-step nilpotent algebra or a truncation of the free square-identity
+    # algebra, with heavy coefficients, in a random basis of GL_n(ℚ)
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 5))
+        low = data.draw(st.integers(0, dim))
+        table = data.draw(tables(range(low), range(low, dim), coefficients=HEAVY_COEFFICIENTS))
+        a = StructureAlgebra(dim, table)
+    else:
+        a = truncate_to_structure(*data.draw(st.sampled_from([(1, 2), (2, 2), (1, 4), (2, 3)])))
+    a = change_basis(a, data.draw(invertible(a.dim)))
+    m = ronco_to_mu(a)
+    assert m == oracle.split_bracket_by_halves(a)
+    assert mu_to_ronco(m) == oracle.recombine_by_scaling(m) == a
 
 
 def test_row_rejects_a_mix_of_cells_and_nested_monomials():

@@ -1,14 +1,18 @@
 """Canonical JSON round-trips and input validation."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basis_change import HEAVY_COEFFICIENTS
+from jsonio_oracle import algebra_to_obj
 from roncoalg.homology import HomologyReport, hr0
 from roncoalg.jsonio import (
-    algebra_to_obj,
     dumps_algebra,
     dumps_canonical,
     loads_algebra,
@@ -130,12 +134,14 @@ def test_vectors_to_obj():
     assert vectors_to_obj([]) == []
 
 
+COEFFICIENTS = st.sampled_from([Fraction(c) for c in ("-2", "-1/2", "1/3", "1", "7/5")])
+
+
 @st.composite
-def sparse_tables(draw, dim: int) -> dict:
+def sparse_tables(draw, dim: int, values=COEFFICIENTS) -> dict:
     if not dim:
         return {}
     index = st.integers(0, dim - 1)
-    values = st.sampled_from([Fraction(c) for c in ("-2", "-1/2", "1/3", "1", "7/5")])
     return draw(st.dictionaries(st.tuples(index, index),
                                 st.dictionaries(index, values, min_size=1, max_size=3), max_size=2 * dim))
 
@@ -148,3 +154,42 @@ def test_random_algebras_dump_the_same_bytes_after_a_round_trip(data):
               MuAlgebra(dim, data.draw(sparse_tables(dim)), data.draw(sparse_tables(dim)))):
         text = dumps_algebra(a)
         assert dumps_algebra(loads_algebra(text)) == text
+
+
+def standard_library_bytes(x) -> str:
+    return dumps_canonical(algebra_to_obj(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([COEFFICIENTS, HEAVY_COEFFICIENTS]))
+def test_direct_writer_prints_the_standard_library_bytes(data, values):
+    dim = data.draw(st.integers(0, 8))
+    tables = [data.draw(sparse_tables(dim, values)) for _ in range(3)]
+    for x in (StructureAlgebra(dim, tables[0]), MuAlgebra(dim, tables[1], tables[2]),
+              MuAlgebra(dim, lie_bracket=tables[1]), MuAlgebra(dim, product=tables[2])):
+        assert dumps_algebra(x) == standard_library_bytes(x)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_direct_writer_on_the_benchmark_inputs():
+    # every truncation of the truncate-verify workload, in the stock basis
+    # and in its seeded bases for seeds 1-10, and the mu split of each
+    workloads = _perfbench_workloads()
+    for d, n in workloads.TRUNCATIONS:
+        name = f"trunc-{d}-{n}"
+        stock = truncate_to_structure(d, n)
+        algebras = [stock]
+        dim, table = workloads.parse_table(dumps_algebra(stock))
+        for seed in range(1, 11):
+            changed = workloads.change_basis(dim, table, workloads._rng("truncate-verify", seed, name))
+            algebras.append(StructureAlgebra(dim, changed))
+        for a in algebras:
+            for x in (a, ronco_to_mu(a)):
+                assert dumps_algebra(x) == standard_library_bytes(x)

@@ -68,6 +68,30 @@ def test_normalization_keeps_fractions_and_converts_the_rest():
     assert all(type(v) is Fraction for cell in a.bracket.values() for v in cell.values())
 
 
+# each builds an algebra of one class from a dimension and one table
+BUILDERS = {
+    "leibniz": lambda dim, table: StructureAlgebra(dim, table),
+    "mu-bracket": lambda dim, table: MuAlgebra(dim, lie_bracket=table),
+    "mu-product": lambda dim, table: MuAlgebra(dim, product=table),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("dim, table", [
+    (3.0, {}),
+    (True, {}),
+    (2, {(0, 1.0): {1: ONE}}),
+    (2, {(False, 1): {1: ONE}}),
+    (2, {(0, 1): {1.0: ONE}}),
+    (2, {(0, 1): {True: ONE}}),
+], ids=["float-dim", "bool-dim", "float-row-index", "bool-row-index", "float-entry-index",
+        "bool-entry-index"])
+def test_dimension_and_indices_must_be_ints(builder, dim, table):
+    # the JSON reader refuses these, and the writer would print 3.0 as 3 and True as 1
+    with pytest.raises(ValueError, match="int"):
+        builder(dim, table)
+
+
 def test_bracket_eval():
     assert bracket_eval(abelian(3), basis_vector(3, 0), basis_vector(3, 1)) == (0, 0, 0)
     nil2 = free_nil2(2)
