@@ -74,8 +74,12 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _load_algebra(path: str) -> StructureAlgebra | MuAlgebra:
-    return jsonio.loads_algebra(Path(path).read_text())
+def _load_algebra(path: str, kind: str, needed_by: str) -> StructureAlgebra | MuAlgebra:
+    """The algebra in a JSON file, which `needed_by` needs to be of `kind` ("leibniz" or "mu")."""
+    x = jsonio.loads_algebra(Path(path).read_text())
+    if not isinstance(x, MuAlgebra if kind == "mu" else StructureAlgebra):
+        raise RoncoError(f'{needed_by} needs a kind "{kind}" algebra')
+    return x
 
 
 def _print_violations(violations):
@@ -171,17 +175,10 @@ def _cmd_free_nil2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    x = _load_algebra(args.file)
-    if args.variety in ("mu", "mu-symmetric"):
-        if not isinstance(x, MuAlgebra):
-            raise RoncoError(f'--variety {args.variety} needs a kind "mu" algebra')
-        report = verify_mu(x, symmetric=args.variety == "mu-symmetric")
-        label = args.variety
-    else:
-        label = "symmetric-leibniz" if args.variety == "symmetric" else args.variety
-        if not isinstance(x, StructureAlgebra):
-            raise RoncoError(f'--variety {args.variety} needs a kind "leibniz" algebra')
-        report = verify_variety(x, label)
+    label = "symmetric-leibniz" if args.variety == "symmetric" else args.variety
+    kind = "mu" if label in ("mu", "mu-symmetric") else "leibniz"
+    x = _load_algebra(args.file, kind, f"--variety {args.variety}")
+    report = verify_mu(x, label == "mu-symmetric") if kind == "mu" else verify_variety(x, label)
     if report.ok:
         print(f"OK: {label} verified, no violations")
         return 0
@@ -190,15 +187,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    x = _load_algebra(args.file)
     if args.to == "mu":
-        if not isinstance(x, StructureAlgebra):
-            raise RoncoError('convert --to mu needs a kind "leibniz" algebra')
-        result = ronco_to_mu(x)
+        result = ronco_to_mu(_load_algebra(args.file, "leibniz", "convert --to mu"))
     else:
-        if not isinstance(x, MuAlgebra):
-            raise RoncoError('convert --to ronco needs a kind "mu" algebra')
-        result = mu_to_ronco(x)
+        result = mu_to_ronco(_load_algebra(args.file, "mu", "convert --to ronco"))
     _emit(jsonio.dumps_algebra(result), args.output)
     return 0
 
@@ -213,9 +205,7 @@ _HOMOLOGY = {
 
 
 def _cmd_homology(args) -> int:
-    x = _load_algebra(args.file)
-    if not isinstance(x, StructureAlgebra):
-        raise RoncoError('homology needs a kind "leibniz" algebra')
+    x = _load_algebra(args.file, "leibniz", "homology")
     op, chain_dim = _HOMOLOGY[args.which]
     _check_size(f"the chain dimension of {args.which}", chain_dim(x.dim), MAX_CHAIN_DIM)
     report = op(x)
@@ -293,10 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _print_violations(exc.report.violations)
         return 1
-    except ValueError as exc:  # RoncoError, bad JSON, bad numbers
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # RoncoError, bad JSON, bad numbers, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

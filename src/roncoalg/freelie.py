@@ -154,6 +154,12 @@ def element_degree(x: LinComb) -> int:
     return max((len(k) for k in x.keys()), default=0)
 
 
+def _check_degree(what: str, degree: int, max_degree: int):
+    """The package's one degree cap, shared by every bracket, kernel and truncation."""
+    if degree > max_degree:
+        raise DegreeOverflowError(f"{what} {degree} exceeds the cap {max_degree}")
+
+
 def tensor_commutator(a: LinComb, b: LinComb) -> LinComb:
     """a⊗b - b⊗a on tensor elements, extended bilinearly."""
     data: dict = {}
@@ -267,9 +273,7 @@ def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) ->
     """
     if x.is_zero() or y.is_zero():
         return LinComb()
-    total = element_degree(x) + element_degree(y)
-    if total > max_degree:
-        raise DegreeOverflowError(f"bracket of degree {total} exceeds the cap {max_degree}")
+    _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
     _require_lyndon(x)
     _require_lyndon(y)
     out: dict = {}

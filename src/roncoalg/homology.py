@@ -24,8 +24,8 @@ rank and kernel dimension add up to the chain dimension, and that every
 kept cycle has zero boundary.  A failed check is an internal bug, not bad
 input, and raises InternalError (under `python -O` as well).  Only the kept
 representatives are made dense, and only if there are at most
-`MAX_DENSE_ENTRIES` entries in all; more raise RoncoError before any of
-them is built.
+`linalg.MAX_DENSE_ENTRIES` entries in all; more raise RoncoError before any
+of them is built.
 """
 
 from __future__ import annotations
@@ -33,19 +33,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .errors import InternalError, NotInVarietyError, RoncoError
+from .errors import InternalError
 from .lincomb import Record, _add_scaled
-from .linalg import SpanBuilder, _dense, _span
-from .structure import StructureAlgebra, basis_vector, verify_variety
-
-
-# Largest dimension × chain dimension of the dense representatives a report
-# may hold; a larger count raises RoncoError before any is built.  It admits
-# hl2 of the dimension-99 truncation (3 generators up to degree 5: 201
-# representatives of length 9801, 1,970,001 entries, about 10 s on Python
-# 3.11, 2 vCPUs) and refuses hl1 of an empty dimension-2000 algebra
-# (4,000,000 entries), which unguarded took 10 s, 639 MB and printed 44 MB.
-MAX_DENSE_ENTRIES = 2_000_000
+# MAX_DENSE_ENTRIES stays importable from here; the budget is read in linalg
+from .linalg import MAX_DENSE_ENTRIES, SpanBuilder, _check_dense, _dense, _span
+from .structure import StructureAlgebra, _require_ok, basis_vector, verify_variety
 
 
 class HomologyReport(Record):
@@ -58,9 +50,7 @@ class HomologyReport(Record):
 
 
 def _require(a: StructureAlgebra, variety: str, op: str):
-    report = verify_variety(a, variety)
-    if not report.ok:
-        raise NotInVarietyError(f"{op} needs an algebra in the {variety} variety", report)
+    _require_ok(verify_variety(a, variety), f"{op} needs an algebra in the {variety} variety")
 
 
 def _invariant(holds: bool, message: str):
@@ -68,16 +58,10 @@ def _invariant(holds: bool, message: str):
         raise InternalError(message)
 
 
-def _check_dense(op: str, count: int, length: int):
-    if count * length > MAX_DENSE_ENTRIES:
-        raise RoncoError(f"{op}: {count} representatives of length {length} "
-                         f"({count * length} entries) exceed the limit of {MAX_DENSE_ENTRIES}")
-
-
 def _quotient(op: str, ambient: int, relations: Iterable[dict]) -> HomologyReport:
     """The ambient space modulo the span of the relations."""
     pivots = set(_span(ambient, filter(None, relations)).pivot_columns())
-    _check_dense(op, ambient - len(pivots), ambient)
+    _check_dense(op, "representatives", ambient - len(pivots), ambient)
     reps = tuple(basis_vector(ambient, i) for i in range(ambient) if i not in pivots)
     return HomologyReport(len(reps), reps)
 
@@ -107,7 +91,7 @@ def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> Homol
                f"{op}: rank plus kernel dimension differs from the chain dimension")
     for vec in reps:
         _invariant(not image(vec), f"{op}: a kept cycle has a nonzero boundary")
-    _check_dense(op, len(reps), len(columns))
+    _check_dense(op, "representatives", len(reps), len(columns))
     return HomologyReport(len(reps), tuple(_dense(len(columns), vec) for vec in reps))
 
 

@@ -68,6 +68,8 @@ def _rows_to_table(rows, dim: int, what: str) -> dict:
             raise ValueError(f"row index ({i!r}, {j!r}) out of range 1..{dim}")
         if (i - 1, j - 1) in table:
             raise ValueError(f"duplicate row ({i}, {j}) in {what}")
+        if not isinstance(row["c"], list):
+            raise ValueError(f"entries of {what} row ({i}, {j}) must be a list, got {row['c']!r}")
         cell: dict = {}
         for entry in row["c"]:
             if not isinstance(entry, dict) or not {"k", "v"} <= entry.keys():
@@ -108,7 +110,11 @@ def obj_to_algebra(obj) -> StructureAlgebra | MuAlgebra:
 
 
 def loads_algebra(text: str) -> StructureAlgebra | MuAlgebra:
-    return obj_to_algebra(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError("algebra JSON is nested too deeply") from None
+    return obj_to_algebra(obj)
 
 
 def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:

@@ -11,8 +11,7 @@ right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y] holds identically.
 
 from __future__ import annotations
 
-from .errors import DegreeOverflowError, UnknownGeneratorError
-from .freelie import DEFAULT_MAX_DEGREE, Word, act, element_degree, left_normed_bracketing
+from .freelie import DEFAULT_MAX_DEGREE, Word, _check_degree, act, element_degree, left_normed_bracketing
 from .lincomb import LinComb
 from . import terms
 
@@ -34,20 +33,10 @@ def leib_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -
         return LinComb.zero()
     if () in x.coeffs:
         raise ValueError("the empty word is no element of the free Leibniz algebra")
-    total = element_degree(x) + element_degree(y)
-    if total > max_degree:
-        raise DegreeOverflowError(
-            f"bracket lands in degree {total}, above the cap {max_degree}"
-        )
+    _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
     return LinComb._of(act(_append, x.coeffs, left_normed_bracketing(y).coeffs))
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
     """Evaluate a parsed bracket term with g_i as free Leibniz generators."""
-
-    def generator(i: int) -> LinComb:
-        if i > num_gens:
-            raise UnknownGeneratorError(f"generator g{i} out of range (have {num_gens})")
-        return leib_generator(i)
-
-    return terms.evaluate(term, generator, lambda a, b: leib_bracket(a, b, max_degree))
+    return terms._evaluate_on(term, num_gens, leib_generator, lambda a, b: leib_bracket(a, b, max_degree))

@@ -30,10 +30,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 
-from .errors import DegreeOverflowError, UnknownGeneratorError
 from .freelie import (
     DEFAULT_MAX_DEGREE,
     Word,
+    _check_degree,
     _expand_word,
     _left_normed_word,
     _lyndon_bracket,
@@ -145,9 +145,7 @@ def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) 
     """
     if x.is_zero() or y.is_zero():
         return LinComb.zero()
-    total = element_degree(x) + element_degree(y)
-    if total > max_degree:
-        raise DegreeOverflowError(f"bracket of degree {total} exceeds the cap {max_degree}")
+    _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
     _require_lyndon_keys(x)
     _require_lyndon_keys(y)
     return LinComb._of(act(_letter, x.coeffs, _lie_image(y)))
@@ -155,13 +153,7 @@ def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
     """Evaluate a parsed bracket term with g_i as the degree-1 generators."""
-
-    def generator(i: int) -> LinComb:
-        if i > num_gens:
-            raise UnknownGeneratorError(f"generator g{i} out of range (have {num_gens})")
-        return ronco_generator(i)
-
-    return terms.evaluate(term, generator, lambda a, b: ronco_bracket(a, b, max_degree))
+    return terms._evaluate_on(term, num_gens, ronco_generator, lambda a, b: ronco_bracket(a, b, max_degree))
 
 
 def graded_dim(d: int, n: int) -> int:
@@ -189,8 +181,7 @@ def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) ->
     """
     if n < 2:
         raise ValueError(f"the kernel lives in degrees >= 2, got n={n}")
-    if n > max_degree:
-        raise DegreeOverflowError(f"degree {n} exceeds the cap {max_degree}")
+    _check_degree("degree", n, max_degree)
     keys = graded_basis(d, n)
     rows: dict = {}  # Lyndon word of degree n -> {column j: coefficient of it in [ξ_j, g_v_j]}
     for j, (word, v) in enumerate(keys):
@@ -217,16 +208,16 @@ def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DE
     above the cutoff are set to zero, which is compatible with the defining
     identities because the discarded part is an ideal.
     """
-    if max_deg > max_degree:
-        raise DegreeOverflowError(f"cutoff {max_deg} exceeds the cap {max_degree}")
+    _check_degree("cutoff", max_deg, max_degree)
     keys = truncation_basis(d, max_deg)
     degrees = [key_degree(key) for key in keys]
+    images = [_lie_image(LinComb.basis(key)) for key in keys]
     index = {key: i for i, key in enumerate(keys)}
     bracket: dict = {}
     for i, ki in enumerate(keys):
         # the keys are sorted by degree, so those that fit beside ki are a prefix
         for j in range(bisect_right(degrees, max_deg - degrees[i])):
-            z = ronco_bracket(LinComb.basis(ki), LinComb.basis(keys[j]), max_degree=max_degree)
+            z = act(_letter, {ki: 1}, images[j])  # Lyndon keys, degree ≤ cutoff ≤ cap: no checks
             if z:
-                bracket[(i, j)] = {index[key]: c for key, c in z}
+                bracket[(i, j)] = {index[key]: c for key, c in z.items()}
     return StructureAlgebra(len(keys), bracket)

@@ -17,7 +17,9 @@ not dim³.  It computes in `int`s on the tables times D, the lcm of all their
 denominators, and builds every composite such as [[e_x,e_y],e_z] once per
 call, shared by all rows and all permuted tuples.  A row is all cells or all
 nested monomials, so its sum is D or D² times the true value; a violation's
-residual is that sum divided back, the exact tuple of Fractions.
+residual is that sum divided back, the exact tuple of Fractions.  The
+residuals are made dense only within the budget `linalg.MAX_DENSE_ENTRIES`;
+more raise RoncoError before any of them is.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
 from .lincomb import Record, _add_scaled
-from .linalg import SpanBuilder, _dense
+from .linalg import SpanBuilder, _check_dense, _dense
 
 _EMPTY: dict = {}
 _ZERO = Fraction(0)
@@ -217,7 +219,7 @@ def _composites(tables: dict, partners: dict, shape: str, outer: str, inner: str
     return {key: value for key, value in out.items() if value}
 
 
-def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
+def _check(variety: str, dim: int, tables: dict, groups: list) -> VerificationReport:
     """Evaluate each group of rows at the index tuples its nonzero values reach.
 
     The tuples are visited in lexicographic order, so the violations come
@@ -235,7 +237,7 @@ def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
     # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
     families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
     values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, partners, *f) for f in families}
-    violations = []
+    found = []  # (axiom, tuple, sparse residual)
     for group in groups:
         candidates: set = set()
         for _, monomials, _ in group:
@@ -253,9 +255,10 @@ def _check(dim: int, tables: dict, groups: list) -> tuple[Violation, ...]:
                     _add_scaled(acc, sign, values[family].get(args(t), _EMPTY))
                 if acc:  # a cell row sums D times the true values, a nested row D² times
                     d = scale if monomials[0][1][0] == "cell" else scale * scale
-                    residual = _dense(dim, {k: Fraction(v, d) for k, v in acc.items()})
-                    violations.append(Violation(axiom, tuple(i + 1 for i in t), residual))
-    return tuple(violations)
+                    found.append((axiom, t, {k: Fraction(v, d) for k, v in acc.items()}))
+    _check_dense(f"verify {variety}", "residuals", len(found), dim)
+    return VerificationReport(variety, tuple(Violation(axiom, tuple(i + 1 for i in t), _dense(dim, residual))
+                                          for axiom, t, residual in found))
 
 
 def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
@@ -268,7 +271,7 @@ def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
     """
     if variety not in _VARIETY_GROUPS:
         raise ValueError(f"unknown variety: {variety!r}")
-    return VerificationReport(variety, _check(a.dim, {"b": a.bracket}, _VARIETY_GROUPS[variety]))
+    return _check(variety, a.dim, {"b": a.bracket}, _VARIETY_GROUPS[variety])
 
 
 def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
@@ -283,7 +286,13 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
     """
     groups = [g for g in _MU_GROUPS if symmetric or g[0][0] != "symmetric"]
     tables = {"l": m.lie_bracket, "p": m.product}
-    return VerificationReport("mu-symmetric" if symmetric else "mu", _check(m.dim, tables, groups))
+    return _check("mu-symmetric" if symmetric else "mu", m.dim, tables, groups)
+
+
+def _require_ok(report: VerificationReport, message: str):
+    """The one variety precondition: refuse, with the report, unless it is ok."""
+    if not report.ok:
+        raise NotInVarietyError(message, report)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +308,7 @@ def _over_common_denominator(s: dict, t: dict):
 
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2."""
-    report = verify_variety(a, "ronco")
-    if not report.ok:
-        raise NotInVarietyError("input does not satisfy the square-bracket identities", report)
+    _require_ok(verify_variety(a, "ronco"), "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
     for i, j in a.bracket.keys() | {(j, i) for i, j in a.bracket}:
@@ -317,9 +324,7 @@ def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
 
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
     """Recombine as [x,y] = {x,y} + xy."""
-    report = verify_mu(m)
-    if not report.ok:
-        raise NotInVarietyError("input does not satisfy the bracket/product axioms", report)
+    _require_ok(verify_mu(m), "input does not satisfy the bracket/product axioms")
     bracket: dict = {}
     for i, j in m.lie_bracket.keys() | m.product.keys():
         bracket[(i, j)] = {k: Fraction(x + y, n) for k, x, y, n
@@ -360,9 +365,7 @@ def lie_quotient(a: StructureAlgebra) -> StructureAlgebra:
     coordinates (so its basis is a subset of the input basis, in order)
     and satisfies the Lie identities.
     """
-    report = verify_variety(a, "leibniz")
-    if not report.ok:
-        raise NotInVarietyError("lie_quotient needs a Leibniz algebra", report)
+    _require_ok(verify_variety(a, "leibniz"), "lie_quotient needs a Leibniz algebra")
     sb = _ann_span(a)
     pivots = set(sb.pivot_columns())
     kept = [i for i in range(a.dim) if i not in pivots]

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import TermSyntaxError
+from .errors import TermSyntaxError, UnknownGeneratorError
 from .lincomb import Record
 
 MAX_TERM_DEPTH = 200
@@ -225,3 +225,14 @@ def evaluate(term: Term, generator: Callable, bracket: Callable):
     if isinstance(term, Diff):
         return evaluate(term.left, generator, bracket) - evaluate(term.right, generator, bracket)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _evaluate_on(term: Term, num_gens: int, generator: Callable, bracket: Callable):
+    """`evaluate` with the generators g1..g{num_gens}; any other index is refused."""
+
+    def checked(i: int):
+        if i > num_gens:
+            raise UnknownGeneratorError(f"generator g{i} out of range (have {num_gens})")
+        return generator(i)
+
+    return evaluate(term, checked, bracket)

@@ -7,6 +7,7 @@ of the `python -m roncoalg` entry point.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -351,6 +352,38 @@ def test_homology_dense_entries_guard(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == ("error: hl1: 2000 representatives of length 2000 (4000000 entries) "
                    f"exceed the limit of {MAX_DENSE_ENTRIES}\n")
+
+
+# Each of these ended in a traceback (exit 1) or built dense residuals
+# without a budget: the dim-10⁶ file took 1.1 s and 99 MB under `verify`.
+HOSTILE_FILES = {
+    "entries-int": '{"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": 5}]}',
+    "entries-null": '{"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": null}]}',
+    "nested-arrays": "[" * 100_000 + "]" * 100_000,
+    "nested-objects": '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    "wide-violations": json.dumps({"dim": 10**6, "kind": "leibniz", "bracket": [
+        {"i": a, "j": a, "c": [{"k": a, "v": "1"}]} for a in range(1, 6)]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("argv", [["verify", "--variety", "lie"], ["convert", "--to", "mu"]])
+def test_hostile_file_exits_2(tmp_path, capsys, name, argv):
+    path = tmp_path / "hostile.json"
+    path.write_text(HOSTILE_FILES[name])
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + [str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_dense_residuals_guard(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(HOSTILE_FILES["wide-violations"])
+    assert run(capsys, ["verify", "--variety", "lie", str(path)]) == (
+        2, "", "error: verify lie: 10 residuals of length 1000000 (10000000 entries) "
+               f"exceed the limit of {MAX_DENSE_ENTRIES}\n")
 
 
 # command: (argv, error); unguarded, each ran for many seconds or printed a

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from roncoalg import homology
+from roncoalg import homology, linalg
 from roncoalg.errors import NotInVarietyError, RoncoError
 from roncoalg.homology import hl1, hl2, hr0, h1_adjoint
 from roncoalg.linalg import SpanBuilder
@@ -363,7 +363,7 @@ def test_cycle_checks_survive_python_O():
                                          (hr0, lambda n: (n * (n + 1) // 2) ** 2), (h1_adjoint, lambda n: n**4)])
 def test_dense_entries_limit_boundary(monkeypatch, op, entries):
     # the abelian algebra keeps every chain, so its report holds entries(n) dense entries
-    monkeypatch.setattr(homology, "MAX_DENSE_ENTRIES", entries(3))
+    monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", entries(3))
     assert op(abelian(3)).dimension ** 2 == entries(3)
     with pytest.raises(RoncoError, match="exceed the limit"):
         op(abelian(4))

@@ -99,6 +99,11 @@ def test_dumps_canonical_shape():
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "0.5"}]}]},
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1/0"}]}]},
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": 1}]}]},
+    # an entry list that is not a list; 5 and null once crashed the reader with a TypeError
+    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": 5}]},
+    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": None}]},
+    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": "1"}]},
+    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": {}}]},
 ])
 def test_rejects_malformed_algebra_objects(obj):
     with pytest.raises(ValueError):

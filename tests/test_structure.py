@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from roncoalg.errors import NotInVarietyError
+from roncoalg import linalg
+from roncoalg.errors import NotInVarietyError, RoncoError
 from roncoalg.linalg import SpanBuilder
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import (
@@ -323,3 +324,15 @@ def test_bracket_product_coupling_identities():
             for j in range(n):
                 diag = mu_product_eval(m, e[i], mu_bracket_eval(m, e[i], e[j]))
                 assert all(c == 0 for c in diag)
+
+
+def test_dense_residuals_limit_boundary(monkeypatch):
+    # [e_a,e_a] = e_a on every basis vector fails "lie" twice per vector
+    # (alternating, leibniz): 2n residuals of length n, 2n² dense entries
+    def diagonal(n):
+        return StructureAlgebra(n, {(a, a): {a: Fraction(1)} for a in range(n)})
+
+    monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", 2 * 3**2)
+    assert len(verify_variety(diagonal(3), "lie").violations) == 6
+    with pytest.raises(RoncoError, match=r"^verify lie: 8 residuals of length 4 \(32 entries\) exceed the limit of 18$"):
+        verify_variety(diagonal(4), "lie")
