@@ -40,18 +40,9 @@ from .terms import parse_term
 # (dimension 4150: 5 generators up to degree 6; Python 3.11, 2 vCPUs).
 MAX_BASIS_SIZE = 5000
 
-# Largest chain space a `homology` command may build.  It is estimated from
-# the dimension n of the algebra before any work starts (see _HOMOLOGY):
-# n² for hl2 (𝔤⊗𝔤) and h1ad (m⊗x), n(n+1)/2 for hr0 (Sym²𝔤), n for hl1;
-# a larger one exits 2.  It admits hl2 up to dimension 100; hl2 of a
-# dimension-99 truncation (3 generators up to degree 5, chain dimension
-# 9801) takes about 10 s (Python 3.11, 2 vCPUs).
-MAX_CHAIN_DIM = 10_000
-
-
-def _check_size(what: str, size: int, limit: int = MAX_BASIS_SIZE):
-    if size > limit:
-        raise RoncoError(f"{what} ({size}) exceeds the limit of {limit}")
+def _check_size(what: str, size: int):
+    if size > MAX_BASIS_SIZE:
+        raise RoncoError(f"{what} ({size}) exceeds the limit of {MAX_BASIS_SIZE}")
 
 
 def _max_degree() -> int:
@@ -195,20 +186,13 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-# --which: (functor, chain dimension for an algebra of dimension n)
-_HOMOLOGY = {
-    "hl1": (homology_mod.hl1, lambda n: n),
-    "hl2": (homology_mod.hl2, lambda n: n * n),
-    "hr0": (homology_mod.hr0, lambda n: n * (n + 1) // 2),
-    "h1ad": (homology_mod.h1_adjoint, lambda n: n * n),
-}
+# --which: the functor it runs; each one refuses too large a chain space itself
+_HOMOLOGY = {"hl1": homology_mod.hl1, "hl2": homology_mod.hl2, "hr0": homology_mod.hr0,
+             "h1ad": homology_mod.h1_adjoint}
 
 
 def _cmd_homology(args) -> int:
-    x = _load_algebra(args.file, "leibniz", "homology")
-    op, chain_dim = _HOMOLOGY[args.which]
-    _check_size(f"the chain dimension of {args.which}", chain_dim(x.dim), MAX_CHAIN_DIM)
-    report = op(x)
+    report = _HOMOLOGY[args.which](_load_algebra(args.file, "leibniz", "homology"))
     sys.stdout.write(jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0
 

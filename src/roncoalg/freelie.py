@@ -60,13 +60,11 @@ def format_word(word: Word, alphabet_size: int | None = None) -> str:
 
 
 def parse_word(text: str) -> Word:
-    if "." in text:
-        letters = tuple(int(p) for p in text.split("."))
-    else:
-        letters = tuple(int(ch) for ch in text)
-    if not letters or any(a < 1 for a in letters):
+    parts = text.split(".") if "." in text else list(text)
+    # ASCII digits only: int() also reads "١", " 1" and "1_0"
+    if not (parts and all(p.isascii() and p.isdigit() and int(p) >= 1 for p in parts)):
         raise ValueError(f"invalid word: {text!r}")
-    return letters
+    return tuple(int(p) for p in parts)
 
 
 def word_sort_key(word: Word) -> tuple:
@@ -143,10 +141,16 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
 # ---------------------------------------------------------------------------
 # elements
 
-def lie_generator(i: int) -> LinComb:
+def _generator_index(i: int) -> int:
+    """The index of g_i, for the generators of all three free algebras."""
     if i < 1:
         raise ValueError(f"generator index must be >= 1, got {i}")
-    return LinComb.basis((i,))
+    return i
+
+
+def lie_generator(i: int) -> LinComb:
+    """The generator g_i as a degree-1 word (also `leibniz.leib_generator`)."""
+    return LinComb.basis((_generator_index(i),))
 
 
 def element_degree(x: LinComb) -> int:
@@ -181,15 +185,15 @@ def _expand_word(word: Word) -> LinComb:
     return tensor_commutator(_expand_word(u), _expand_word(v))
 
 
-def _require_lyndon(x: LinComb):
-    for word in x.keys():
+def _require_lyndon(words):
+    for word in words:
         if not is_lyndon(word):
             raise ValueError(f"key {word} is not a Lyndon word")
 
 
 def expand_to_tensor(x: LinComb) -> LinComb:
     """Embed a Lie element into the tensor algebra via its standard bracketings."""
-    _require_lyndon(x)
+    _require_lyndon(x.keys())
     out: dict = {}
     for word, c in x:
         _add_scaled(out, c, _expand_word(word).coeffs)
@@ -274,8 +278,7 @@ def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) ->
     if x.is_zero() or y.is_zero():
         return LinComb()
     _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
-    _require_lyndon(x)
-    _require_lyndon(y)
+    _require_lyndon((*x.keys(), *y.keys()))
     out: dict = {}
     for u, cu in x:
         for v, cv in y:

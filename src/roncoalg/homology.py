@@ -25,7 +25,8 @@ kept cycle has zero boundary.  A failed check is an internal bug, not bad
 input, and raises InternalError (under `python -O` as well).  Only the kept
 representatives are made dense, and only if there are at most
 `linalg.MAX_DENSE_ENTRIES` entries in all; more raise RoncoError before any
-of them is built.
+of them is built.  A chain space larger than `MAX_CHAIN_DIM` is refused
+before anything else, the variety check included.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .errors import InternalError
+from .errors import InternalError, RoncoError
 from .lincomb import Record, _add_scaled
 # MAX_DENSE_ENTRIES stays importable from here; the budget is read in linalg
 from .linalg import MAX_DENSE_ENTRIES, SpanBuilder, _check_dense, _dense, _span
@@ -49,7 +50,16 @@ class HomologyReport(Record):
     __slots__ = ("dimension", "representatives")
 
 
-def _require(a: StructureAlgebra, variety: str, op: str):
+# Largest chain space a functor may build, for an algebra of dimension n: n
+# for hl1, n² for hl2 (𝔤⊗𝔤) and h1_adjoint (m⊗x), n(n+1)/2 for hr0 (Sym²𝔤).
+# It admits hl2 up to n = 100; hl2 of a dimension-99 truncation (3 generators
+# up to degree 5, chain dimension 9801) takes about 10 s (Python 3.11, 2 vCPUs).
+MAX_CHAIN_DIM = 10_000
+
+
+def _require(a: StructureAlgebra, variety: str, op: str, chain_dim: int):
+    if chain_dim > MAX_CHAIN_DIM:
+        raise RoncoError(f"the chain dimension of {op} ({chain_dim}) exceeds the limit of {MAX_CHAIN_DIM}")
     _require_ok(verify_variety(a, variety), f"{op} needs an algebra in the {variety} variety")
 
 
@@ -97,7 +107,7 @@ def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> Homol
 
 def hl1(a: StructureAlgebra) -> HomologyReport:
     """Abelianization 𝔤/[𝔤,𝔤]; representatives are surviving basis vectors."""
-    _require(a, "leibniz", "hl1")
+    _require(a, "leibniz", "hl1", a.dim)
     return _quotient("hl1", a.dim, a.bracket.values())
 
 
@@ -120,13 +130,13 @@ def _leibniz_complex(op: str, a: StructureAlgebra, triples: Iterable[tuple]) -> 
 
 def hl2(a: StructureAlgebra) -> HomologyReport:
     """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
-    _require(a, "leibniz", "hl2")
+    _require(a, "leibniz", "hl2", a.dim * a.dim)
     return _leibniz_complex("hl2", a, product(range(a.dim), repeat=3))
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
     """Symmetric square modulo x⊙[y,z] = [x,y]⊙z."""
-    _require(a, "lie", "hr0")
+    _require(a, "lie", "hr0", a.dim * (a.dim + 1) // 2)
     n = a.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {pair: t for t, pair in enumerate(pairs)}
@@ -155,7 +165,7 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     Negating columns or boundaries changes neither span nor RREF, so the
     report, representatives included, is that of `hl2`.
     """
-    _require(a, "lie", "h1_adjoint")
+    _require(a, "lie", "h1_adjoint", a.dim * a.dim)
     n = a.dim
     return _leibniz_complex("h1_adjoint", a,
                             ((m, x, y) for m in range(n) for x in range(n) for y in range(x + 1, n)))

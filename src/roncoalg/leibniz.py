@@ -12,15 +12,9 @@ right Leibniz identity [x,[y,z]] = [[x,y],z] − [[x,z],y] holds identically.
 from __future__ import annotations
 
 from .freelie import DEFAULT_MAX_DEGREE, Word, _check_degree, act, element_degree, left_normed_bracketing
+from .freelie import lie_generator as leib_generator  # g_i is the word (i,) in both algebras
 from .lincomb import LinComb
 from . import terms
-
-
-def leib_generator(i: int) -> LinComb:
-    """The generator g_i as a degree-1 word."""
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    return LinComb.basis((i,))
 
 
 def _append(word: Word, v: int) -> dict:

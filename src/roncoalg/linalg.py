@@ -23,7 +23,7 @@ from .errors import RoncoError
 from .lincomb import Record, _add_scaled
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)  # \d: 0-9, not "٣"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -35,11 +35,12 @@ from .freelie import (
     Word,
     _check_degree,
     _expand_word,
+    _generator_index,
     _left_normed_word,
     _lyndon_bracket,
+    _require_lyndon,
     act,
     format_word,
-    is_lyndon,
     lyndon_words,
     witt_dim,
 )
@@ -52,9 +53,7 @@ RKey = tuple[Word, int]
 
 
 def ronco_generator(i: int) -> LinComb:
-    if i < 1:
-        raise ValueError(f"generator index must be >= 1, got {i}")
-    return LinComb.basis(((), i))
+    return LinComb.basis(((), _generator_index(i)))
 
 
 def key_degree(key: RKey) -> int:
@@ -115,12 +114,6 @@ def section(x: LinComb) -> LinComb:
     return LinComb._of(out)
 
 
-def _require_lyndon_keys(x: LinComb):
-    for word, v in x.keys():
-        if word and not is_lyndon(word):
-            raise ValueError(f"key {(word, v)} does not carry a Lyndon word")
-
-
 def _lie_image(y: LinComb) -> dict:
     """Image in the free Lie algebra: (ℓ, v) ↦ [ℓ, g_v] and ((), v) ↦ g_v."""
     out: dict = {}
@@ -146,8 +139,7 @@ def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) 
     if x.is_zero() or y.is_zero():
         return LinComb.zero()
     _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
-    _require_lyndon_keys(x)
-    _require_lyndon_keys(y)
+    _require_lyndon([word for xy in (x, y) for word, _ in xy.keys() if word])
     return LinComb._of(act(_letter, x.coeffs, _lie_image(y)))
 
 

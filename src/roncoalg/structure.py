@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import NotInVarietyError
 from .lincomb import Record, _add_scaled
-from .linalg import SpanBuilder, _check_dense, _dense
+from .linalg import SpanBuilder, _check_dense, _dense, parse_rational
 
 _EMPTY: dict = {}
 _ZERO = Fraction(0)
@@ -44,7 +44,8 @@ def _check_dim(dim: int):
 
 def _normalize_table(dim: int, table: dict) -> dict:
     """The table with every value a Fraction and no zeros.  Every index
-    must be an int, as the JSON reader requires: the writer prints it with %d."""
+    must be an int, as the JSON reader requires: the writer prints it with %d.
+    A float or bool value is refused, not rounded; a string must be "p" or "p/q"."""
     out: dict = {}
     for (i, j), cell in table.items():
         if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
@@ -53,7 +54,10 @@ def _normalize_table(dim: int, table: dict) -> dict:
         for k, v in cell.items():
             if not (type(k) is int and 0 <= k < dim):
                 raise ValueError(f"value index {k!r} is no int in range for dimension {dim}")
-            v = v if type(v) is Fraction else Fraction(v)
+            if type(v) is not Fraction:
+                if isinstance(v, (float, bool)):  # Fraction(0.1) is 3602879701896397/2**55
+                    raise ValueError(f"value {v!r} at index {k} of cell ({i}, {j}) is no exact rational")
+                v = parse_rational(v) if isinstance(v, str) else Fraction(v)
             if v:
                 ncell[k] = v
         if ncell:

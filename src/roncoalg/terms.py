@@ -112,7 +112,7 @@ class _Parser:
     def atom(self) -> tuple[Term, int]:
         self.skip_ws()
         ch = self.peek()
-        if ch.isdigit() or (ch == "-" and self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit()):
+        if "0" <= ch <= "9" or (ch == "-" and "0" <= self.text[self.pos + 1:self.pos + 2] <= "9"):
             coeff = self.rational()
             self.skip_ws()
             if self.peek() != "*":
@@ -158,7 +158,8 @@ class _Parser:
 
     def digits(self, what: str) -> str:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII only: str.isdigit also takes "²" and "٢"; peek's "" at the end is below "0"
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")

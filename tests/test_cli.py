@@ -12,9 +12,9 @@ import time
 import pytest
 
 from roncoalg import ronco
-from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, MAX_CHAIN_DIM, _build_parser, main
+from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, _build_parser, main
 from roncoalg.errors import RoncoError
-from roncoalg.homology import MAX_DENSE_ENTRIES
+from roncoalg.homology import MAX_CHAIN_DIM, MAX_DENSE_ENTRIES, h1_adjoint, hl1, hl2, hr0
 from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import free_nil2, ronco_to_mu
@@ -328,12 +328,17 @@ def test_homology_chain_dimension_guard(tmp_path, capsys):
     assert err == f"error: the chain dimension of hl2 (1000000) exceeds the limit of {MAX_CHAIN_DIM}\n"
 
 
-@pytest.mark.parametrize("which", sorted(_HOMOLOGY))
+# --which: the dimension of its chain space for an algebra of dimension n
+CHAIN_DIMS = {"hl1": lambda n: n, "hl2": lambda n: n * n, "hr0": lambda n: n * (n + 1) // 2,
+              "h1ad": lambda n: n * n}
+
+
+@pytest.mark.parametrize("which", sorted(CHAIN_DIMS))
 def test_chain_dimension_limit_boundary(tmp_path, capsys, which):
     # The estimate is checked before the algebra is: at the largest admitted
     # dimension an algebra outside every variety exits 1, one past it 2.
     # For hl1 the chain dimension is n itself: the limit and one past it.
-    chain_dim = _HOMOLOGY[which][1]
+    chain_dim = CHAIN_DIMS[which]
     n = max(n for n in range(MAX_CHAIN_DIM + 1) if chain_dim(n) <= MAX_CHAIN_DIM)
     assert chain_dim(99) <= MAX_CHAIN_DIM < chain_dim(n + 1)
     assert which != "hl1" or (chain_dim(n), chain_dim(n + 1)) == (MAX_CHAIN_DIM, MAX_CHAIN_DIM + 1)
@@ -342,6 +347,14 @@ def test_chain_dimension_limit_boundary(tmp_path, capsys, which):
         path.write_text(json.dumps({"dim": dim, "kind": "leibniz",
                                     "bracket": [{"i": 1, "j": 1, "c": [{"k": 1, "v": "1"}]}]}))
         assert run(capsys, ["homology", "--which", which, str(path)])[0] == code, (which, dim)
+
+
+def test_homology_runs_the_functors_that_check_their_own_chain_space(tmp_path, capsys):
+    assert _HOMOLOGY == {"hl1": hl1, "hl2": hl2, "hr0": hr0, "h1ad": h1_adjoint}
+    path = tmp_path / "a.json"
+    path.write_text('{"dim": 101, "kind": "leibniz", "bracket": []}')
+    assert run(capsys, ["homology", "--which", "h1ad", str(path)]) == (
+        2, "", f"error: the chain dimension of h1_adjoint (10201) exceeds the limit of {MAX_CHAIN_DIM}\n")
 
 
 def test_homology_dense_entries_guard(tmp_path, capsys):

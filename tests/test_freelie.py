@@ -230,6 +230,13 @@ def test_word_formatting():
         parse_word("102")  # "0" is not a generator index
 
 
+@pytest.mark.parametrize("text", ["١٢", "1_0.2", "²", " 1", "+1", "1.+2", "1..2", "1.", "1. 2"])
+def test_parse_word_reads_ascii_digits_only(text):
+    # int() reads "١" as 1 and "1_0" as 10; each of these was once a word
+    with pytest.raises(ValueError, match="invalid word"):
+        parse_word(text)
+
+
 def test_expand_validates_lyndon_keys():
     with pytest.raises(ValueError):
         expand_to_tensor(LinComb.basis((2, 1)))

@@ -4,23 +4,29 @@ caller of it says.
   * the degree cap (`freelie._check_degree`): the three brackets, the
     graded kernel and the truncation;
   * the generator range (`terms._evaluate_on`): both term evaluators;
+  * the generator index (`freelie._generator_index`): the generators of
+    the three free algebras;
+  * the Lyndon keys (`freelie._require_lyndon`): the Lie bracket, the
+    tensor embedding and the bracket of the square-identity algebra;
   * the variety precondition (`structure._require_ok`): both conversions,
     the Lie quotient and the four homology functors;
+  * the chain space (`homology._require`): the four homology functors;
   * the algebra kind (`cli._load_algebra`): `verify`, `convert`, `homology`.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from roncoalg.cli import main
-from roncoalg.errors import DegreeOverflowError, NotInVarietyError
-from roncoalg.freelie import lie_bracket
-from roncoalg.homology import h1_adjoint, hl1, hl2, hr0
+from roncoalg.errors import DegreeOverflowError, NotInVarietyError, RoncoError
+from roncoalg.freelie import expand_to_tensor, lie_bracket, lie_generator
+from roncoalg.homology import MAX_CHAIN_DIM, h1_adjoint, hl1, hl2, hr0
 from roncoalg.jsonio import dumps_algebra
-from roncoalg.leibniz import leib_bracket
+from roncoalg.leibniz import leib_bracket, leib_generator
 from roncoalg.lincomb import LinComb
-from roncoalg.ronco import graded_kernel_basis, ronco_bracket, truncate_to_structure
+from roncoalg.ronco import graded_kernel_basis, ronco_bracket, ronco_generator, truncate_to_structure
 from roncoalg.structure import (
     MuAlgebra, StructureAlgebra, VerificationReport, Violation, lie_quotient, mu_to_ronco, ronco_to_mu,
 )
@@ -68,6 +74,44 @@ def test_generator_out_of_range(capsys, command):
 
 
 # ---------------------------------------------------------------------------
+# generator index
+
+@pytest.mark.parametrize("generator", [lie_generator, leib_generator, ronco_generator],
+                         ids=["lie", "leibniz", "ronco"])
+@pytest.mark.parametrize("i", [0, -1])
+def test_generator_index_below_one(generator, i):
+    with pytest.raises(ValueError) as exc:
+        generator(i)
+    assert str(exc.value) == f"generator index must be >= 1, got {i}"
+
+
+def test_leibniz_and_lie_generators_are_one_function():
+    # g_i is the word (i,) in both algebras
+    assert leib_generator is lie_generator
+    assert leib_generator(2) == LinComb.basis((2,))
+
+
+# ---------------------------------------------------------------------------
+# Lyndon keys
+
+NOT_LYNDON = LinComb.basis((2, 1))
+NOT_LYNDON_KEY = LinComb.basis(((2, 1), 1))  # the 𝒱 key (2, 1)⊗g1
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: lie_bracket(NOT_LYNDON, lie_generator(1)),
+    lambda: lie_bracket(lie_generator(1), NOT_LYNDON),
+    lambda: expand_to_tensor(NOT_LYNDON),
+    lambda: ronco_bracket(NOT_LYNDON_KEY, ronco_generator(1)),
+    lambda: ronco_bracket(ronco_generator(1), NOT_LYNDON_KEY),
+], ids=["lie-left", "lie-right", "expand", "ronco-left", "ronco-right"])
+def test_non_lyndon_key(compute):
+    with pytest.raises(ValueError) as exc:
+        compute()
+    assert str(exc.value) == "key (2, 1) is not a Lyndon word"
+
+
+# ---------------------------------------------------------------------------
 # variety precondition
 
 BAD = StructureAlgebra(1, {(0, 0): {0: Fraction(1)}})  # [e1,e1] = e1 fails the Leibniz identity
@@ -102,6 +146,29 @@ def test_variety_precondition(op, algebra, message, expected):
         op(algebra)
     assert str(exc.value) == message
     assert exc.value.report == expected
+
+
+# ---------------------------------------------------------------------------
+# chain space
+
+@pytest.mark.parametrize("op, largest, past", [
+    (hl1, 10_000, 10_001), (hl2, 100, 101 * 101), (hr0, 140, 141 * 142 // 2), (h1_adjoint, 100, 101 * 101),
+], ids=["hl1", "hl2", "hr0", "h1_adjoint"])
+def test_chain_space_cap(op, largest, past):
+    # The cap is checked before the variety: at the largest admitted dimension
+    # [e1,e1] = e1, in neither variety, is refused by the variety check, one
+    # dimension past it by the cap, at once.  Unguarded, hl2 of the empty
+    # dimension-101 algebra ran 6 s before the dense budget refused it.
+    assert MAX_CHAIN_DIM == 10_000
+    with pytest.raises(NotInVarietyError):
+        op(StructureAlgebra(largest, {(0, 0): {0: Fraction(1)}}))
+    algebra = StructureAlgebra(largest + 1, {(0, 0): {0: Fraction(1)}})
+    start = time.perf_counter()
+    with pytest.raises(RoncoError) as exc:
+        op(algebra)
+    assert time.perf_counter() - start < 0.1
+    assert type(exc.value) is RoncoError
+    assert str(exc.value) == f"the chain dimension of {op.__name__} ({past}) exceeds the limit of 10000"
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_dumps_canonical_shape():
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "0.5"}]}]},
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1/0"}]}]},
     {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": 1}]}]},
+    # non-ASCII digits: "٣" was read as 3 and written back as "3"
+    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "٣"}]}]},
+    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1/٣"}]}]},
     # an entry list that is not a list; 5 and null once crashed the reader with a TypeError
     {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": 5}]},
     {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": None}]},

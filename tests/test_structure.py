@@ -93,6 +93,15 @@ def test_dimension_and_indices_must_be_ints(builder, dim, table):
         builder(dim, table)
 
 
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False, "٣", "0.5"],
+                         ids=["float", "integral-float", "true", "false", "non-ascii-digit", "decimal-string"])
+def test_values_must_be_exact_rationals(builder, value):
+    # Fraction(0.1) is 3602879701896397/2**55 and Fraction(True) is 1: both were stored silently
+    with pytest.raises(ValueError, match=r"(\(0, 1\)|not a rational literal)"):
+        builder(2, {(0, 1): {1: value}})
+
+
 def test_bracket_eval():
     assert bracket_eval(abelian(3), basis_vector(3, 0), basis_vector(3, 1)) == (0, 0, 0)
     nil2 = free_nil2(2)

@@ -61,6 +61,12 @@ def test_parse_sums_left_associative():
     ("g1)", 3),
     ("g", 2),
     ("*g1", 1),
+    # digits are ASCII 0-9: str.isdigit once read "٢" as 2 and crashed on "²"
+    ("g²", 2),
+    ("[g1,g٢]", 6),
+    ("٣*g1", 1),
+    ("-٣*g1", 1),
+    ("1/٣*g1", 3),
 ])
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(TermSyntaxError) as exc:
