@@ -10,10 +10,10 @@ RONCO_MAX_DEGREE variable.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import homology as homology_mod
 from . import jsonio, leibniz, ronco
@@ -203,7 +203,8 @@ def _opt(*flags, **options) -> tuple:
 
 _GENS = _opt("--gens", type=int, required=True, metavar="D")
 _MAX = _opt("--max", type=int, required=True, metavar="N")
-_EXPR = _opt("--expr", required=True, metavar="TERM")
+_EXPR = _opt("--expr", required=True, metavar="TERM",
+             help="a bracket term; one that starts with '-' must be attached: --expr=-2*g1")
 _FILE = _opt("file", metavar="FILE")
 _OUTPUT = _opt("-o", "--output", metavar="FILE")
 
@@ -235,6 +236,65 @@ _COMMANDS = {
 }
 
 
+def _direct_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a plain `argv`, or None.
+
+    Plain means: `argv[0]` names a command; every other token is either one
+    of that command's flags, written out in full and followed by its value
+    as a separate token, or a positional; no option is given twice; no value
+    or positional starts with "-"; the positionals are exactly those the
+    command declares; every required option is present; each value passes
+    its `type` and `choices`.  Absent options read None, as with argparse.
+    Anything else (help, abbreviations, "--flag=value", dash-leading values,
+    repeated options, every usage error) returns None and is left to
+    argparse, the only source of help, usage and error text.  It applies the
+    `_opt` keys `type`, `required`, `choices` and `dest`; tests/test_cli_args.py
+    holds it to argparse on every command.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    by_flag, declared, positional = {}, [], []  # declared: (dest, options) in order
+    for flags, options in arguments:
+        if flags[0].startswith("-"):
+            # argparse's rule: the first long flag, else the first flag, less its dashes
+            dest = options.get("dest") or next(
+                (f for f in flags if f.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+            by_flag.update(dict.fromkeys(flags, dest))
+        else:
+            dest = flags[0]
+            positional.append(dest)
+        declared.append((dest, options))
+    raw, tokens, rest = {}, iter(argv[1:]), []
+    for token in tokens:
+        if not token.startswith("-"):
+            rest.append(token)
+            continue
+        dest = by_flag.get(token)
+        value = next(tokens, "-")  # a missing value counts as a dash-leading one
+        if dest is None or dest in raw or value.startswith("-"):
+            return None
+        raw[dest] = value
+    if len(rest) != len(positional):
+        return None
+    raw.update(zip(positional, rest))
+    values = {"command": argv[0]}
+    for dest, options in declared:
+        if dest not in raw:
+            if options.get("required"):
+                return None
+            values[dest] = None
+            continue
+        try:
+            value = options.get("type", str)(raw[dest])
+        except (TypeError, ValueError):
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values, func=handler)
+
+
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser of all subcommands, or only of the one `argv[0]` names.
 
@@ -243,6 +303,8 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     full parser, so the output is the same either way; building ten unused
     subparsers is a fixed cost of every call.
     """
+    import argparse  # only for help, errors and the argvs `_direct_args` leaves to it
+
     parser = argparse.ArgumentParser(
         prog="roncoalg",
         description="Exact calculator for free Leibniz/Ronco algebras and their homology.",
@@ -260,7 +322,9 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _direct_args(argv)
+    if args is None:
+        args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotInVarietyError as exc:

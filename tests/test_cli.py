@@ -61,6 +61,17 @@ def test_ronco_eval_golden(capsys):
     assert (code, out) == (0, "2·g1 - 1/2·[1|2]\n")
 
 
+@pytest.mark.parametrize("command, output", [("ronco-eval", "-2·g1\n"), ("leib-bracket", "-2·1\n")])
+def test_term_with_a_leading_minus_must_be_attached(capsys, command, output):
+    # argparse reads a separate "-2*g1" as an option, and "--expr=-2*g1" as its value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gens", "2", "--expr", "-2*g1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"usage: roncoalg {command} [-h] --gens D --expr TERM\n"
+                                       f"roncoalg {command}: error: argument --expr: expected one argument\n")
+    assert run(capsys, [command, "--gens", "2", "--expr=-2*g1"]) == (0, output, "")
+
+
 def test_ronco_dims(capsys):
     code, out, _ = run(capsys, ["ronco-dims", "--gens", "2", "--max", "4"])
     assert code == 0
@@ -467,13 +478,25 @@ def test_invoked_only_parser_matches_full_parser(capsys, argv):
 
 def test_import_skips_dataclasses():
     # importing `dataclasses` (with `inspect`) and generating the classes
-    # cost about 20 ms of every cold call
+    # cost about 20 ms of every cold call, and building argparse's parser
+    # about 2 ms, so a plain call loads argparse (with gettext) only to report
+    # a usage error
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, roncoalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "import sys, roncoalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)));"
+         "roncoalg.cli.main(['witt', '--gens', '2', '--max', '4']);"
+         "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
         capture_output=True, text=True,
     )
-    assert (result.returncode, result.stdout) == (0, "[]\n")
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"[]\n{WITT_GOLDEN}[]\n", "")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, roncoalg.cli; sys.exit(roncoalg.cli.main(['witt', '--gens', 'x', '--max', '4']))"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "usage: roncoalg witt [-h] --gens D --max N\n"
+               "roncoalg witt: error: argument --gens: invalid int value: 'x'\n")
 
 
 def test_module_entry_point_subprocess():
