@@ -137,12 +137,7 @@ def _cmd_graded_kernel(args) -> int:
         _check_size("--deg", args.deg)
         _check_size("the domain of the bracket-to-Lie map", ronco.graded_dim(args.gens, args.deg))
     basis = ronco.graded_kernel_basis(args.gens, args.deg, max_degree)
-    obj = {
-        "degree": args.deg,
-        "dimension": len(basis),
-        "basis": [jsonio.ronco_element_to_obj(x, args.gens) for x in basis],
-    }
-    sys.stdout.write(jsonio.dumps_canonical(obj))
+    sys.stdout.write(jsonio.dumps_graded_kernel(args.deg, basis, args.gens))
     return 0
 
 
@@ -192,7 +187,9 @@ _HOMOLOGY = {"hl1": homology_mod.hl1, "hl2": homology_mod.hl2, "hr0": homology_m
 
 
 def _cmd_homology(args) -> int:
-    report = _HOMOLOGY[args.which](_load_algebra(args.file, "leibniz", "homology"))
+    # looked up by name at call time, so that a patched `homology` attribute is the one called
+    functor = getattr(homology_mod, _HOMOLOGY[args.which].__name__)
+    report = functor(_load_algebra(args.file, "leibniz", "homology"))
     sys.stdout.write(jsonio.dumps_canonical(jsonio.report_to_obj(report)))
     return 0
 
@@ -201,8 +198,20 @@ def _opt(*flags, **options) -> tuple:
     return flags, options
 
 
-_GENS = _opt("--gens", type=int, required=True, metavar="D")
-_MAX = _opt("--max", type=int, required=True, metavar="N")
+def _ascii_int(text: str) -> int:
+    """An integer option: an optional "-" and ASCII digits only.  `int` also
+    reads "٣", "1_0", " 2" and "+3", which the term grammar and the JSON
+    reader refuse."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse names the type in its error: "invalid int value: ..."
+
+_GENS = _opt("--gens", type=_ascii_int, required=True, metavar="D")
+_MAX = _opt("--max", type=_ascii_int, required=True, metavar="N")
 _EXPR = _opt("--expr", required=True, metavar="TERM",
              help="a bracket term; one that starts with '-' must be attached: --expr=-2*g1")
 _FILE = _opt("file", metavar="FILE")
@@ -211,7 +220,7 @@ _OUTPUT = _opt("-o", "--output", metavar="FILE")
 # name: (help, handler, arguments), in the order the top-level help lists them
 _COMMANDS = {
     "lyndon": ("list Lyndon words of a given length", _cmd_lyndon,
-               (_GENS, _opt("--len", dest="length", type=int, required=True, metavar="N"))),
+               (_GENS, _opt("--len", dest="length", type=_ascii_int, required=True, metavar="N"))),
     "witt": ("free Lie graded dimensions up to a degree", _cmd_witt, (_GENS, _MAX)),
     "leib-bracket": ("evaluate a bracket term in the free Leibniz algebra", _cmd_leib_bracket,
                      (_GENS, _EXPR)),
@@ -220,11 +229,11 @@ _COMMANDS = {
     "ronco-dims": ("graded dimensions of the free square-identity algebra", _cmd_ronco_dims,
                    (_GENS, _MAX)),
     "graded-kernel": ("kernel of the degree-n bracket-to-Lie map", _cmd_graded_kernel,
-                      (_GENS, _opt("--deg", type=int, required=True, metavar="N"))),
+                      (_GENS, _opt("--deg", type=_ascii_int, required=True, metavar="N"))),
     "ronco-truncate": ("truncated free algebra as JSON structure constants", _cmd_ronco_truncate,
                        (_GENS, _MAX, _OUTPUT)),
     "free-nil2": ("free 2-step nilpotent Lie algebra as JSON", _cmd_free_nil2,
-                  (_opt("--dim", type=int, required=True, metavar="D"), _OUTPUT)),
+                  (_opt("--dim", type=_ascii_int, required=True, metavar="D"), _OUTPUT)),
     "verify": ("check variety identities of a JSON algebra", _cmd_verify,
                (_opt("--variety", required=True,
                      choices=["leibniz", "lie", "ronco", "symmetric", "mu", "mu-symmetric"]),

@@ -9,8 +9,9 @@ Algebra schema (1-based indices, zero cells omitted):
 
 Output is order-canonicalized — rows sorted by (i, j), entries by k,
 rationals in reduced "p" / "p/q" form — so equal algebras serialize to
-identical bytes, with indent 2 and a trailing newline.  Algebras go through
-`dumps_algebra`, a direct writer for this one schema; reports and kernels
+identical bytes, with indent 2 and a trailing newline.  Algebras and
+graded-kernel bases are written directly, from templates for their fixed
+schemas (`dumps_algebra`, `dumps_graded_kernel`); homology reports still
 build plain objects and go through `dumps_canonical`, which prints the same
 layout with the standard library's encoder.
 """
@@ -46,14 +47,16 @@ _ROW = '\n    {\n      "i": %d,\n      "j": %d,\n      "c": [%s\n      ]\n    }'
 _ENTRY = '\n        {\n          "k": %d,\n          "v": "%s"\n        }'
 
 
+def _list_text(items: list, indent: str) -> str:
+    """A JSON list of already written items, closed at `indent`; "[]" when empty."""
+    return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
+
+
 def _rows_text(table: dict) -> str:
-    if not table:
-        return "[]"
-    rows = ",".join([
+    return _list_text([
         _ROW % (i + 1, j + 1, ",".join([_ENTRY % (k + 1, v) for k, v in sorted(table[i, j].items())]))
         for i, j in sorted(table)
-    ])
-    return "[" + rows + "\n  ]"
+    ], "  ")
 
 
 def _rows_to_table(rows, dim: int, what: str) -> dict:
@@ -142,6 +145,29 @@ def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
         else:
             higher.append([format_word(word, num_gens), v, format_rational(c)])
     return {"deg1": [format_rational(c) for c in deg1], "higher": higher}
+
+
+# The graded-kernel document, written from templates for the same reason as
+# algebras: every word and rational string is made of ASCII digits, ".",
+# "-" and "/", which the encoder prints as they are, and every generator,
+# degree and dimension is an int.
+_KERNEL = '{\n  "degree": %d,\n  "dimension": %d,\n  "basis": %s\n}\n'
+_ELEMENT = '\n    {\n      "deg1": %s,\n      "higher": %s\n    }'
+_DEG1 = '\n        "%s"'
+_HIGHER = '\n        [\n          "%s",\n          %d,\n          "%s"\n        ]'
+
+
+def dumps_graded_kernel(degree: int, basis: Sequence[LinComb], num_gens: int) -> str:
+    """The canonical JSON text of a graded-kernel basis, byte for byte what
+    `dumps_canonical` prints for {"degree", "dimension", "basis"}, each
+    element given by `ronco_element_to_obj`."""
+    elements = []
+    for x in basis:
+        obj = ronco_element_to_obj(x, num_gens)
+        elements.append(_ELEMENT % (
+            _list_text([_DEG1 % c for c in obj["deg1"]], "      "),
+            _list_text([_HIGHER % tuple(triple) for triple in obj["higher"]], "      ")))
+    return _KERNEL % (degree, len(basis), _list_text(elements, "  "))
 
 
 # ---------------------------------------------------------------------------

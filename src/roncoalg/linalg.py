@@ -1,9 +1,13 @@
 """Exact rational sparse matrices: rank, kernel, quotient dimensions.
 
 One elimination engine serves everything: `SpanBuilder` keeps the reduced
-row echelon form (RREF) of a span over `Fraction`, one vector at a time.
-Ranks, kernels and quotient dimensions are read off it.  No floating point
-anywhere.
+row echelon form (RREF) of a span over ℚ, one vector at a time.  Ranks,
+kernels and quotient dimensions are read off it.  No floating point
+anywhere: inside the builder an integral entry stays a Python `int` until
+arithmetic makes it a `Fraction`, and a float or bool input is converted to
+`Fraction` exactly; every value it hands out is a `Fraction`.  It indexes,
+per column, the rows that may hold that column, so a new pivot is
+back-substituted only into those rows.
 
 The result is deterministic: the RREF depends only on the span, and its
 pivots are the leading columns of the row space.
@@ -60,7 +64,7 @@ def _dense(dim: int, vec: dict) -> tuple[Fraction, ...]:
 # representatives of a homology report, the residuals of a verification
 # report.  A larger count raises RoncoError before any of them is built.
 # It admits hl2 of the dimension-99 truncation (3 generators up to degree 5:
-# 201 representatives of length 9801, 1,970,001 entries, about 10 s on
+# 201 representatives of length 9801, 1,970,001 entries, about 4-5 s on
 # Python 3.11, 2 vCPUs) and refuses hl1 of an empty dimension-2000 algebra
 # (4,000,000 entries), which unguarded took 10 s, 639 MB and printed 44 MB.
 MAX_DENSE_ENTRIES = 2_000_000
@@ -140,18 +144,27 @@ class SpanBuilder:
 
     Supports rank queries, membership tests, and a canonical (RREF) basis;
     the basis depends only on the span, not on insertion order.
+
+    Entries are kept as given when they are `int` or `Fraction`, so integral
+    rows stay in fast `int` arithmetic; any other number goes through
+    `Fraction`.  Every value handed out (`rows`, `basis`, `reduce`,
+    `kernel`) is a `Fraction`.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, dict] = {}  # pivot col -> row dict with row[pivot] == 1
+        # column -> pivots of the rows that may hold it: every row that does,
+        # and perhaps some whose entry has since cancelled
+        self._holders: dict[int, set] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def _reduce(self, vec) -> dict:
-        row = {j: Fraction(v) for j, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        row = {j: v if type(v) is int or type(v) is Fraction else Fraction(v) for j, v in items if v}
         # Each basis row vanishes on every other pivot column, so clearing
         # the pivots present in the input clears them all, in any order.
         for pc in [j for j in row if j in self._rows]:
@@ -165,11 +178,26 @@ class SpanBuilder:
             return False
         pc = min(row)
         lead = row[pc]
-        row = {j: v / lead for j, v in row.items()}
-        for other in self._rows.values():
+        if lead == -1:
+            row = {j: -v for j, v in row.items()}
+        elif lead != 1:
+            if type(lead) is int:  # int / int would be a float
+                row = {j: Fraction(v, lead) if type(v) is int else v / lead for j, v in row.items()}
+            else:
+                row = {j: v / lead for j, v in row.items()}
+        # Back-substitute only into the rows listed for column pc; each of
+        # them, and the new row, may then hold every column the new row holds.
+        targets = self._holders.pop(pc, ())
+        holding = [self._holders.setdefault(j, set()) for j in row if j != pc]
+        for p in targets:
+            other = self._rows[p]
             c = other.get(pc)
             if c:
                 _add_scaled(other, -c, row)
+                for pivots in holding:
+                    pivots.add(p)
+        for pivots in holding:
+            pivots.add(pc)
         self._rows[pc] = row
         return True
 
@@ -182,11 +210,11 @@ class SpanBuilder:
         The residual vanishes on all pivot columns, so it is supported on
         the complement; it is zero exactly when the vector lies in the span.
         """
-        return self._reduce(vec)
+        return _exact(self._reduce(vec))
 
     def rows(self) -> list[dict]:
-        """Sparse RREF rows sorted by pivot column (shared; do not mutate)."""
-        return [self._rows[pc] for pc in sorted(self._rows)]
+        """Sparse RREF rows sorted by pivot column (fresh dicts)."""
+        return [_exact(self._rows[pc]) for pc in sorted(self._rows)]
 
     def kernel(self) -> list[dict]:
         """Sparse basis of the vectors orthogonal to the span, read off the RREF.
@@ -198,7 +226,7 @@ class SpanBuilder:
         for pc, row in self._rows.items():
             for f, v in row.items():
                 if f != pc:
-                    kernel[f][pc] = -v
+                    kernel[f][pc] = -v if type(v) is Fraction else Fraction(-v)
         return list(kernel.values())
 
     def basis(self) -> list[tuple[Fraction, ...]]:
@@ -207,6 +235,11 @@ class SpanBuilder:
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
+
+
+def _exact(row: dict) -> dict:
+    """A copy of a sparse row with every value a Fraction."""
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in row.items()}
 
 
 def _span(dim: int, vectors: Iterable) -> SpanBuilder:

@@ -1,13 +1,16 @@
-"""The schema objects that `roncoalg.jsonio` built for an algebra before it
-wrote algebras directly.
+"""The schema objects that `roncoalg.jsonio` built for an algebra, and the
+graded-kernel document that `roncoalg.cli` built, before both were written
+directly.
 
 Kept unchanged only so that tests can check that `dumps_algebra(x)` equals
-`dumps_canonical(algebra_to_obj(x))`, the standard library's encoding of the
-same object, byte for byte.
+`dumps_canonical(algebra_to_obj(x))`, and `dumps_graded_kernel` equals
+`graded_kernel_text`, the standard library's encoding of the same object,
+byte for byte.
 """
 
 from __future__ import annotations
 
+from roncoalg import jsonio
 from roncoalg.linalg import format_rational
 from roncoalg.structure import MuAlgebra, StructureAlgebra
 
@@ -35,3 +38,13 @@ def algebra_to_obj(x: StructureAlgebra | MuAlgebra) -> dict:
             "product": _table_to_rows(x.product),
         }
     raise TypeError(f"not an algebra: {x!r}")
+
+
+def graded_kernel_text(degree: int, basis: list, gens: int) -> str:
+    """What `graded-kernel` printed for a kernel basis of degree `degree` on `gens` generators."""
+    obj = {
+        "degree": degree,
+        "dimension": len(basis),
+        "basis": [jsonio.ronco_element_to_obj(x, gens) for x in basis],
+    }
+    return jsonio.dumps_canonical(obj)

@@ -2,7 +2,10 @@
 
 These are the fraction-free (Bareiss) rank and kernel and the span builder
 that reduced by every pivot on every call, as `roncoalg.linalg` had them
-before all elimination moved onto the incremental reduced echelon form.
+before all elimination moved onto the incremental reduced echelon form;
+and `FractionSpanBuilder`, that incremental engine as it was before it kept
+integral entries as `int` and indexed the rows that hold each column: it
+made every entry a `Fraction` and scanned every row for each new pivot.
 They are kept, unchanged, only so that tests can compare the current
 engine against them result for result.
 """
@@ -13,7 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from roncoalg.linalg import SparseMatrix, Vector
+from roncoalg.lincomb import _add_scaled
+from roncoalg.linalg import SparseMatrix, Vector, _dense
 
 
 def _integer_rows(m: SparseMatrix) -> list[dict]:
@@ -179,6 +183,80 @@ class SpanBuilder:
                 dense[j] = v
             out.append(tuple(dense))
         return out
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._rows)
+
+
+class FractionSpanBuilder:
+    """Incrementally maintained reduced echelon basis of a span of vectors.
+
+    Supports rank queries, membership tests, and a canonical (RREF) basis;
+    the basis depends only on the span, not on insertion order.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._rows: dict[int, dict] = {}  # pivot col -> row dict with row[pivot] == 1
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec) -> dict:
+        row = {j: Fraction(v) for j, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if v}
+        # Each basis row vanishes on every other pivot column, so clearing
+        # the pivots present in the input clears them all, in any order.
+        for pc in [j for j in row if j in self._rows]:
+            _add_scaled(row, -row[pc], self._rows[pc])
+        return row
+
+    def add(self, vec) -> bool:
+        """Add a vector; True iff it enlarged the span."""
+        row = self._reduce(vec)
+        if not row:
+            return False
+        pc = min(row)
+        lead = row[pc]
+        row = {j: v / lead for j, v in row.items()}
+        for other in self._rows.values():
+            c = other.get(pc)
+            if c:
+                _add_scaled(other, -c, row)
+        self._rows[pc] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    def reduce(self, vec) -> dict:
+        """Canonical residual of a vector modulo the span (sparse dict).
+
+        The residual vanishes on all pivot columns, so it is supported on
+        the complement; it is zero exactly when the vector lies in the span.
+        """
+        return self._reduce(vec)
+
+    def rows(self) -> list[dict]:
+        """Sparse RREF rows sorted by pivot column (shared; do not mutate)."""
+        return [self._rows[pc] for pc in sorted(self._rows)]
+
+    def kernel(self) -> list[dict]:
+        """Sparse basis of the vectors orthogonal to the span, read off the RREF.
+
+        One vector per free column f, in increasing order: x[f] = 1 and
+        x[pc] = −row_pc[f] for every pivot column pc.
+        """
+        kernel = {f: {f: Fraction(1)} for f in range(self.dim) if f not in self._rows}
+        for pc, row in self._rows.items():
+            for f, v in row.items():
+                if f != pc:
+                    kernel[f][pc] = -v
+        return list(kernel.values())
+
+    def basis(self) -> list[tuple[Fraction, ...]]:
+        """Canonical dense basis, rows sorted by pivot column."""
+        return [_dense(self.dim, row) for row in self.rows()]
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)

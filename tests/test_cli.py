@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from roncoalg import ronco
+from roncoalg import homology, ronco
 from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, _build_parser, main
 from roncoalg.errors import RoncoError
 from roncoalg.homology import MAX_CHAIN_DIM, MAX_DENSE_ENTRIES, h1_adjoint, hl1, hl2, hr0
@@ -366,6 +366,23 @@ def test_homology_runs_the_functors_that_check_their_own_chain_space(tmp_path, c
     path.write_text('{"dim": 101, "kind": "leibniz", "bracket": []}')
     assert run(capsys, ["homology", "--which", "h1ad", str(path)]) == (
         2, "", f"error: the chain dimension of h1_adjoint (10201) exceeds the limit of {MAX_CHAIN_DIM}\n")
+
+
+def test_homology_calls_the_functor_the_homology_module_holds(tmp_path, capsys, monkeypatch):
+    # looked up at call time, so a wrapper put on `roncoalg.homology` (a
+    # tracer, a mock) is the function that runs
+    calls = []
+
+    def replacement(a):
+        calls.append(a.dim)
+        return homology.HomologyReport(0, ())
+
+    monkeypatch.setattr(homology, "hl2", replacement)
+    path = tmp_path / "nil2.json"
+    path.write_text(dumps_algebra(free_nil2(2)))
+    assert run(capsys, ["homology", "--which", "hl2", str(path)]) == (
+        0, '{\n  "dimension": 0,\n  "representatives": []\n}\n', "")
+    assert calls == [3]
 
 
 def test_homology_dense_entries_guard(tmp_path, capsys):

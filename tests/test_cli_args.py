@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from roncoalg.cli import _COMMANDS, _build_parser, _direct_args
 
 # Values argparse and the reader might read differently: the empty string, a
-# non-ASCII digit, a leading space, an underscore; and, drawn more rarely,
-# dash-leading ones.
-INT_VALUES = ["2", "0", "", "٣", " 2", "1_0", "x", "2.0"]
+# non-ASCII digit, a leading space, an underscore, a plus sign (the last four
+# refused by the integer options); and, drawn more rarely, dash-leading ones.
+INT_VALUES = ["2", "0", "", "٣", " 2", "1_0", "+3", "x", "2.0"]
 STR_VALUES = ["t.json", "[g1,g2]", "2*g1 - [g1,g2]", "", " ", "٣", "a=b", "x y"]
 DASH_VALUES = ["-2", "-2*g1", "--", "-", "-o", "--gens", "-h"]
 NOISE = ["-h", "--help", "--", "-", "--gens", "--max", "-o", "--output", "--to", "-2", "", "extra"]
@@ -96,6 +96,27 @@ LEFT_TO_ARGPARSE = [
     ["--help"],
     [],
 ]
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", " 2", "+3", " 1_0"])
+@pytest.mark.parametrize("flag", ["--gens", "--max"])
+def test_integer_options_take_ascii_digits_only(flag, value, capsys):
+    argv = ["witt", "--gens", "2", "--max", "4"]
+    argv[argv.index(flag) + 1] = value
+    assert _direct_args(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        _build_parser(argv).parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_every_integer_option_shares_the_ascii_type():
+    types = {options["type"] for _, _, arguments in _COMMANDS.values()
+             for _, options in arguments if "type" in options}
+    assert len(types) == 1
+    (ascii_int,) = types
+    assert ascii_int is not int and ascii_int.__name__ == "int"
+    assert [ascii_int(v) for v in ("0", "12", "-3", "007")] == [0, 12, -3, 7]
 
 
 @pytest.mark.parametrize("argv", LEFT_TO_ARGPARSE, ids=" ".join)

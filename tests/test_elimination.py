@@ -67,3 +67,117 @@ def test_span_builder_matches_oracle(m, data):
         probe = data.draw(st.dictionaries(st.integers(0, m.cols - 1), COEFFICIENTS))
         assert span.reduce(probe) == reference.reduce(probe)
         assert span.contains(probe) == reference.contains(probe)
+
+
+# The engine keeps `int` and `Fraction` entries as given and indexes the
+# rows that hold each column; `oracle.FractionSpanBuilder` is the engine
+# from before, which made every entry a Fraction and scanned every row.
+INTS = st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 7])
+FRACTIONS = st.sampled_from([Fraction(c) for c in ("-3", "-2", "-1", "-1/2", "1/3", "1", "2", "5/4")])
+NUMBERS = {"int": INTS, "Fraction": FRACTIONS, "mixed": INTS | FRACTIONS}
+SCALES = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2), Fraction(3)])
+
+
+def as_dict(vec) -> dict:
+    return dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
+
+
+def vectors(dim: int, entry):
+    """Vectors of length `dim`: sparse dicts (explicit zeros allowed) or dense lists."""
+    if not dim:
+        return st.just({}) | st.just([])
+    return (st.dictionaries(st.integers(0, dim - 1), entry | st.just(0), max_size=dim)
+            | st.lists(entry | st.just(0), min_size=dim, max_size=dim))
+
+
+@st.composite
+def vector_lists(draw, max_dim=7, max_vectors=6):
+    """(dim, vectors) with int, Fraction or mixed entries; then repeated,
+    scaled and combined copies of earlier vectors, some of which cancel to
+    zero."""
+    dim = draw(st.integers(0, max_dim))
+    entry = NUMBERS[draw(st.sampled_from(sorted(NUMBERS)))]
+    found = draw(st.lists(vectors(dim, entry), max_size=max_vectors))
+    for _ in range(draw(st.integers(0, 4)) if found else 0):
+        first, second = as_dict(draw(st.sampled_from(found))), as_dict(draw(st.sampled_from(found)))
+        c = draw(SCALES)
+        combined = {j: first.get(j, 0) + c * second.get(j, 0) for j in first.keys() | second.keys()}
+        if draw(st.booleans()):
+            combined = [combined.get(j, 0) for j in range(dim)]
+        found.insert(draw(st.integers(0, len(found))), combined)
+    return dim, found
+
+
+def assert_exact(values):
+    for v in values:
+        assert type(v) is Fraction, (type(v), v)
+
+
+def assert_same_span(span, reference, probes):
+    assert span.rank == reference.rank
+    assert span.pivot_columns() == reference.pivot_columns()
+    rows = span.rows()
+    assert rows == reference.rows()
+    kernel = span.kernel()
+    assert [list(vec.items()) for vec in kernel] == [list(vec.items()) for vec in reference.kernel()]
+    basis = span.basis()
+    assert basis == reference.basis()
+    for row in rows + kernel:
+        assert_exact(row.values())
+    for vec in basis:
+        assert_exact(vec)
+    for probe in probes:
+        residual = span.reduce(probe)
+        assert residual == reference.reduce(probe)
+        assert_exact(residual.values())
+        assert span.contains(probe) == reference.contains(probe)
+
+
+def build_both(dim, vectors):
+    span, reference = SpanBuilder(dim), oracle.FractionSpanBuilder(dim)
+    for vec in vectors:
+        assert span.add(vec) == reference.add(vec)
+        assert span.rank == reference.rank
+    return span, reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists(), st.data())
+def test_span_builder_matches_the_fraction_engine(drawn, data):
+    dim, added = drawn
+    span, reference = build_both(dim, added)
+    probes = data.draw(st.lists(vectors(dim, NUMBERS["mixed"]), max_size=3))
+    assert_same_span(span, reference, probes + added[:2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_lists(max_dim=12, max_vectors=14))
+def test_span_builder_matches_the_fraction_engine_with_fill_in(drawn):
+    """Wider spans, so that back-substitution fills in columns the index
+    did not list for a row when it was added."""
+    dim, added = drawn
+    span, reference = build_both(dim, added)
+    assert_same_span(span, reference, added[:3])
+
+
+FLOATS = st.sampled_from([0.0, 0.5, -2.0, 0.25, 3.0, -0.75])
+BOOLS = st.booleans()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_float_and_bool_entries_go_through_fraction(dim, data):
+    entry = data.draw(st.sampled_from([FLOATS, BOOLS, FLOATS | BOOLS | INTS]))
+    rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=6))
+    span, reference = build_both(dim, rows)
+    assert quotient_dim(dim, rows) == dim - reference.rank
+    assert_same_span(span, reference, rows[:2])
+
+
+def test_span_builder_hands_out_fractions_for_integral_input():
+    """An integral span with unit leads keeps its entries as ints inside;
+    every value handed out is still a Fraction."""
+    span, reference = build_both(4, [{0: 1, 1: 2, 3: -1}, [0, 1, 3, 0], {0: 1, 1: 3, 2: 3, 3: -1}])
+    assert span.rank == 2
+    assert_same_span(span, reference, [{2: 5}, [1, 0, 0, 0], {1: 1, 3: 2}])
+    assert span.rows() == [{0: 1, 2: -6, 3: -1}, {1: 1, 2: 3}]

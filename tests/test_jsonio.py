@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basis_change import HEAVY_COEFFICIENTS
-from jsonio_oracle import algebra_to_obj
+from jsonio_oracle import algebra_to_obj, graded_kernel_text
+from roncoalg.cli import MAX_BASIS_SIZE
+from roncoalg.freelie import DEFAULT_MAX_DEGREE
 from roncoalg.homology import HomologyReport, hr0
 from roncoalg.jsonio import (
     dumps_algebra,
     dumps_canonical,
+    dumps_graded_kernel,
     loads_algebra,
     obj_to_algebra,
     report_to_obj,
@@ -22,7 +25,7 @@ from roncoalg.jsonio import (
     vectors_to_obj,
 )
 from roncoalg.lincomb import LinComb
-from roncoalg.ronco import eval_term, truncate_to_structure
+from roncoalg.ronco import eval_term, graded_dim, graded_kernel_basis, truncate_to_structure
 from roncoalg.structure import MuAlgebra, StructureAlgebra, free_nil2, ronco_to_mu
 from roncoalg.terms import parse_term
 
@@ -201,3 +204,25 @@ def test_direct_writer_on_the_benchmark_inputs():
         for a in algebras:
             for x in (a, ronco_to_mu(a)):
                 assert dumps_algebra(x) == standard_library_bytes(x)
+
+
+# Every degree the graded-kernel command computes for up to 4 generators,
+# within the degree cap and MAX_BASIS_SIZE (2 ≤ n ≤ 8; n ≤ 7 for d = 4);
+# d = 1, n ≥ 3 has an empty kernel.  10 and 11 generators print words with dots.
+GRADED_KERNELS = [(d, n) for d in range(1, 5) for n in range(2, DEFAULT_MAX_DEGREE + 1)
+                  if graded_dim(d, n) <= MAX_BASIS_SIZE] + [(d, n) for d in (10, 11) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("d, n", GRADED_KERNELS)
+def test_graded_kernel_writer_prints_the_standard_library_bytes(d, n):
+    basis = graded_kernel_basis(d, n)
+    assert dumps_graded_kernel(n, basis, d) == graded_kernel_text(n, basis, d)
+
+
+def test_graded_kernel_writer_on_empty_and_degree_one_parts():
+    assert graded_kernel_basis(1, 3) == []
+    assert dumps_graded_kernel(3, [], 1) == graded_kernel_text(3, [], 1) == (
+        '{\n  "degree": 3,\n  "dimension": 0,\n  "basis": []\n}\n')
+    # the writer takes any elements: a degree-1 part, no higher part, the zero element
+    elements = [eval_term(parse_term(t), num_gens=11) for t in ("2*g1 - 1/2*[g1,g11]", "-3/7*g10", "0*g2")]
+    assert dumps_graded_kernel(2, elements, 11) == graded_kernel_text(2, elements, 11)
