@@ -50,7 +50,7 @@ def _max_degree() -> int:
     if raw is None:
         return DEFAULT_MAX_DEGREE
     try:
-        value = int(raw)
+        value = _ascii_int(raw)  # like the integer options: "٩" and " 1_0" are refused
     except ValueError:
         raise RoncoError(f"RONCO_MAX_DEGREE must be an integer, got {raw!r}") from None
     if value < 1:

@@ -124,18 +124,24 @@ def _mobius(n: int) -> int:
     return -1 if count % 2 else 1
 
 
+@cache
 def standard_factorization(word: Word) -> tuple[Word, Word]:
-    """Split w = u·v with v the longest proper Lyndon suffix; u, v are Lyndon."""
-    if len(word) < 2 or not is_lyndon(word):
+    """Split w = u·v with v the longest proper Lyndon suffix; u, v are Lyndon.
+
+    The smallest proper suffix of a word is Lyndon, and every longer suffix
+    has it as a smaller proper suffix, so it is the longest proper Lyndon
+    suffix (Lothaire, *Combinatorics on Words*, ch. 5).  A word is Lyndon
+    iff it is smaller than that suffix, so one pass over the suffixes finds
+    v and checks the input.  Cached: the brackets factor the same words
+    again and again.
+    """
+    v = min((word[i:] for i in range(1, len(word))), default=None)
+    if v is None or not word < v:
         raise ValueError(f"standard factorization needs a Lyndon word of length >= 2, got {word}")
-    for i in range(1, len(word)):
-        v = word[i:]
-        if is_lyndon(v):
-            u = word[:i]
-            if not is_lyndon(u):
-                raise InternalError(f"standard_factorization: prefix {u} of {word} is not Lyndon")
-            return u, v
-    raise InternalError("unreachable: every Lyndon word has a Lyndon proper suffix")
+    u = word[:len(word) - len(v)]
+    if not is_lyndon(u):
+        raise InternalError(f"standard_factorization: prefix {u} of {word} is not Lyndon")
+    return u, v
 
 
 # ---------------------------------------------------------------------------

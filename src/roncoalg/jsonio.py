@@ -136,15 +136,17 @@ def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:
 def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
     """Degree-1 part as a dense coefficient list; higher part as sorted
     (word-string, generator, rational-string) triples."""
-    deg1 = [Fraction(0)] * num_gens
+    # every coefficient is an int or a normalized Fraction, whose str is
+    # `format_rational`'s "p" or "p/q"
+    deg1 = ["0"] * num_gens
     higher = []
     for key, c in x.sorted_items(key=key_sort_key):
         word, v = key
         if not word:
-            deg1[v - 1] = c
+            deg1[v - 1] = str(c)
         else:
-            higher.append([format_word(word, num_gens), v, format_rational(c)])
-    return {"deg1": [format_rational(c) for c in deg1], "higher": higher}
+            higher.append([format_word(word, num_gens), v, str(c)])
+    return {"deg1": deg1, "higher": higher}
 
 
 # The graded-kernel document, written from templates for the same reason as

@@ -114,11 +114,18 @@ def section(x: LinComb) -> LinComb:
     return LinComb._of(out)
 
 
+def _key_image(key: RKey) -> dict:
+    """Image of one key in the free Lie algebra, as {Lyndon word: nonzero int}:
+    (ℓ, v) ↦ [ℓ, g_v] and ((), v) ↦ g_v.  May be shared; do not mutate."""
+    word, v = key
+    return _lyndon_bracket(word, (v,)) if word else {(v,): 1}
+
+
 def _lie_image(y: LinComb) -> dict:
-    """Image in the free Lie algebra: (ℓ, v) ↦ [ℓ, g_v] and ((), v) ↦ g_v."""
+    """Image of an element in the free Lie algebra, key by key."""
     out: dict = {}
-    for (word, v), c in y:
-        _add_scaled(out, c, _lyndon_bracket(word, (v,)) if word else {(v,): 1})
+    for key, c in y:
+        _add_scaled(out, c, _key_image(key))
     return out
 
 
@@ -169,18 +176,27 @@ def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) ->
 
     The map sends ξ⊗v to [ξ, g_v] in the free Lie algebra; its kernel
     measures the failure of the degree-n piece to be Lie.  Kernel vectors
-    come from the deterministic echelon kernel, one per free basis key.
+    come from the deterministic echelon kernel, one per free basis key,
+    each with its keys in basis order.
+
+    The rows (one per Lyndon word of degree n) are spanned sorted by their
+    lowest column, largest first.  A row whose lowest column is no pivot
+    yet then leads left of every pivot already held, so it changes none of
+    the rows held; only a row that shares its lowest column with an earlier
+    one is reduced and may still back-substitute.  The reduced echelon form
+    does not depend on the order, so neither does the kernel.
     """
     if n < 2:
         raise ValueError(f"the kernel lives in degrees >= 2, got n={n}")
     _check_degree("degree", n, max_degree)
     keys = graded_basis(d, n)
     rows: dict = {}  # Lyndon word of degree n -> {column j: coefficient of it in [ξ_j, g_v_j]}
-    for j, (word, v) in enumerate(keys):
-        for target, c in _lyndon_bracket(word, (v,)).items():
+    for j, key in enumerate(keys):
+        for target, c in _key_image(key).items():
             rows.setdefault(target, {})[j] = c
-    kernel = _span(len(keys), rows.values()).kernel()
-    return [LinComb((keys[j], c) for j, c in vec.items()) for vec in kernel]
+    kernel = _span(len(keys), sorted(rows.values(), key=min, reverse=True)).kernel()
+    # kernel() hands out nonzero Fractions, which LinComb adopts without re-wrapping
+    return [LinComb._of({keys[j]: c for j, c in sorted(vec.items())}) for vec in kernel]
 
 
 def truncation_basis(d: int, max_deg: int) -> list[RKey]:
@@ -203,7 +219,7 @@ def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DE
     _check_degree("cutoff", max_deg, max_degree)
     keys = truncation_basis(d, max_deg)
     degrees = [key_degree(key) for key in keys]
-    images = [_lie_image(LinComb.basis(key)) for key in keys]
+    images = [_key_image(key) for key in keys]  # int images keep `act` in int arithmetic
     index = {key: i for i, key in enumerate(keys)}
     bracket: dict = {}
     for i, ki in enumerate(keys):

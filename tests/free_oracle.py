@@ -1,33 +1,80 @@
 """The tensor-algebra composites and loops that the direct free-algebra
 code replaced, kept as test oracles.
 
-`lie_bracket` embeds both factors in the tensor algebra, takes the
+`standard_factorization` scans the proper suffixes from the longest down
+and tests each for the Lyndon property, as `freelie` once did.  The
+oracle's tensor expansion (`_expand_word`, `expand_to_tensor`,
+`rewrite_to_lyndon`) is built on it, so `lie_bracket`,
+`left_normed_bracketing` and `section` factor no word with the code under
+test.  `lie_bracket` embeds both factors in the tensor algebra, takes the
 commutator there and rewrites it in Lyndon coordinates.  `leib_bracket`
-multiplies free Leibniz words by splitting off the last letter of the
-right factor, [w, u·v] = [[w, u], v] − [[w, v], u], without the free Lie
-algebra.  `ronco_bracket` lifts both factors to free Leibniz words with
-`section`, multiplies there with the oracle `leib_bracket` and projects
-back; with `project` computed in Lyndon coordinates, this composite shares
-only `_lyndon_bracket` with the direct bracket, and `lie_bracket` checks
-that function through the tensor algebra.
-`left_normed_bracketing` expands left-normed bracketings as tensors
-(2ⁿ⁻¹ terms) and rewrites them in Lyndon coordinates.
+multiplies free Leibniz words by splitting off the last
+letter of the right factor, [w, u·v] = [[w, u], v] − [[w, v], u], without
+the free Lie algebra.  `left_normed_bracketing` expands left-normed
+bracketings as tensors (2ⁿ⁻¹ terms) and rewrites them in Lyndon
+coordinates.  `ronco_bracket` lifts both factors to free Leibniz words
+with the oracle `section`, multiplies there with the oracle `leib_bracket`
+and projects back; with `project` computed in Lyndon coordinates, this
+composite shares only `_lyndon_bracket` with the direct bracket, and
+`lie_bracket` checks that function through the tensor algebra.
 `graded_kernel_basis` builds the degree-n kernel from the oracle Lie
 bracket, and `truncate_to_structure` brackets every pair of truncation
-basis keys, skipping those above the cutoff.  None of them has a degree
-cap.
+basis keys with the oracle `ronco_bracket`, skipping those above the
+cutoff.  None of them has a degree cap.
 """
 
 from functools import cache
 
-from roncoalg.freelie import expand_to_tensor, lyndon_words, rewrite_to_lyndon, tensor_commutator
+from roncoalg.errors import InternalError, NotLieElementError
+from roncoalg.freelie import format_word, is_lyndon, lyndon_words, tensor_commutator, word_sort_key
 from roncoalg.linalg import SparseMatrix, rank_and_kernel
 from roncoalg.lincomb import LinComb, _add_scaled
-from roncoalg.ronco import graded_basis, key_degree, project, section, truncation_basis
-from roncoalg.ronco import ronco_bracket as direct_ronco_bracket
+from roncoalg.ronco import graded_basis, key_degree, project, truncation_basis
 from roncoalg.structure import StructureAlgebra
 
-UNCAPPED = 10**9
+
+def standard_factorization(word: tuple) -> tuple[tuple, tuple]:
+    """Split w = u·v with v the longest proper Lyndon suffix; u, v are Lyndon."""
+    if len(word) < 2 or not is_lyndon(word):
+        raise ValueError(f"standard factorization needs a Lyndon word of length >= 2, got {word}")
+    for i in range(1, len(word)):
+        v = word[i:]
+        if is_lyndon(v):
+            u = word[:i]
+            if not is_lyndon(u):
+                raise InternalError(f"standard_factorization: prefix {u} of {word} is not Lyndon")
+            return u, v
+    raise InternalError("unreachable: every Lyndon word has a Lyndon proper suffix")
+
+
+@cache
+def _expand_word(word: tuple) -> LinComb:
+    """The right standard bracketing of a Lyndon word, as a tensor."""
+    if len(word) == 1:
+        return LinComb.basis(word)
+    u, v = standard_factorization(word)
+    return tensor_commutator(_expand_word(u), _expand_word(v))
+
+
+def expand_to_tensor(x: LinComb) -> LinComb:
+    out: dict = {}
+    for word, c in x:
+        _add_scaled(out, c, _expand_word(word).coeffs)
+    return LinComb._of(out)
+
+
+def rewrite_to_lyndon(t: LinComb) -> LinComb:
+    """Clear the smallest remaining word, shortest first, which must be Lyndon."""
+    work = dict(t.coeffs)
+    result: dict = {}
+    while work:
+        word = min(work, key=word_sort_key)
+        if not is_lyndon(word):
+            raise NotLieElementError(f"residual tensor term {format_word(word)} has no Lyndon leading word")
+        c = work[word]
+        _add_scaled(work, -c, _expand_word(word).coeffs)
+        result[word] = c
+    return LinComb(result)
 
 
 def lie_bracket(x: LinComb, y: LinComb) -> LinComb:
@@ -58,6 +105,17 @@ def leib_bracket(x: LinComb, y: LinComb) -> LinComb:
     for wx, cx in x:
         for wy, cy in y:
             _add_scaled(out, cx * cy, _word_bracket(wx, wy))
+    return LinComb._of(out)
+
+
+def section(x: LinComb) -> LinComb:
+    """(ℓ, v) ↦ (1/|ℓ|)·expand(ℓ)·v and ((), v) ↦ v, with the oracle expansion."""
+    out: dict = {}
+    for (word, v), c in x:
+        if not word:
+            _add_scaled(out, c, {(v,): 1})
+        else:
+            _add_scaled(out, c / len(word), {w + (v,): cw for w, cw in _expand_word(word)})
     return LinComb._of(out)
 
 
@@ -104,7 +162,7 @@ def truncate_to_structure(d: int, max_deg: int) -> StructureAlgebra:
         for j, kj in enumerate(keys):
             if key_degree(ki) + key_degree(kj) > max_deg:
                 continue
-            z = direct_ronco_bracket(LinComb.basis(ki), LinComb.basis(kj), max_degree=UNCAPPED)
+            z = ronco_bracket(LinComb.basis(ki), LinComb.basis(kj))
             if z:
                 bracket[(i, j)] = {index[key]: c for key, c in z}
     return StructureAlgebra(len(keys), bracket)

@@ -320,6 +320,15 @@ def test_degree_cap_env_override(monkeypatch, capsys):
     code, _, err = run(capsys, ["ronco-eval", "--gens", "2", "--expr", "g1"])
     assert code == 2
     assert "RONCO_MAX_DEGREE" in err
+    # ASCII digits only, as for the integer options: int() reads these as 9, 10, 9 and 9
+    for raw in ("٩", " 1_0", "+9", "9 "):
+        monkeypatch.setenv("RONCO_MAX_DEGREE", raw)
+        code, out, err = run(capsys, ["ronco-eval", "--gens", "2", "--expr", DEG9])
+        assert (code, out) == (2, "")
+        assert err == f"error: RONCO_MAX_DEGREE must be an integer, got {raw!r}\n"
+    monkeypatch.setenv("RONCO_MAX_DEGREE", "-3")
+    code, _, err = run(capsys, ["ronco-eval", "--gens", "2", "--expr", "g1"])
+    assert (code, err) == (2, "error: RONCO_MAX_DEGREE must be >= 1, got -3\n")
 
 
 def test_output_is_deterministic(capsys):

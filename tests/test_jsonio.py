@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basis_change import HEAVY_COEFFICIENTS
+import jsonio_oracle
 from jsonio_oracle import algebra_to_obj, graded_kernel_text
 from roncoalg.cli import MAX_BASIS_SIZE
 from roncoalg.freelie import DEFAULT_MAX_DEGREE
@@ -25,7 +26,7 @@ from roncoalg.jsonio import (
     vectors_to_obj,
 )
 from roncoalg.lincomb import LinComb
-from roncoalg.ronco import eval_term, graded_dim, graded_kernel_basis, truncate_to_structure
+from roncoalg.ronco import eval_term, graded_basis, graded_dim, graded_kernel_basis, truncate_to_structure
 from roncoalg.structure import MuAlgebra, StructureAlgebra, free_nil2, ronco_to_mu
 from roncoalg.terms import parse_term
 
@@ -165,6 +166,18 @@ def test_random_algebras_dump_the_same_bytes_after_a_round_trip(data):
               MuAlgebra(dim, data.draw(sparse_tables(dim)), data.draw(sparse_tables(dim)))):
         text = dumps_algebra(a)
         assert dumps_algebra(loads_algebra(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([COEFFICIENTS, HEAVY_COEFFICIENTS]))
+def test_ronco_element_to_obj_prints_format_rational(data, values):
+    # the coefficients are printed with str, which is format_rational's text
+    # for a Fraction and for an int
+    d = data.draw(st.sampled_from([1, 2, 3, 10]))
+    keys = [key for n in range(1, 5) for key in graded_basis(d, n)]
+    coeffs = data.draw(st.dictionaries(st.sampled_from(keys), values, max_size=6))
+    for x in (LinComb(coeffs), LinComb._of({k: int(c) for k, c in coeffs.items() if int(c)})):
+        assert ronco_element_to_obj(x, d) == jsonio_oracle.ronco_element_to_obj(x, d)
 
 
 def standard_library_bytes(x) -> str:
