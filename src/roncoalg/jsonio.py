@@ -14,6 +14,14 @@ graded-kernel bases are written directly, from templates for their fixed
 schemas (`dumps_algebra`, `dumps_graded_kernel`); homology reports still
 build plain objects and go through `dumps_canonical`, which prints the same
 layout with the standard library's encoder.
+
+Reading is one pass over the rows and entries (`_rows_to_table`), with one
+message per malformed part, checked in a fixed order.  It parses each
+distinct coefficient string once per load, drops zero values and empty
+cells, and refuses an index given twice even when its value or cell is
+empty.  The tables come out normalized, as the algebra constructors'
+`_normalize_table` would leave them, so they are adopted through
+`Record._of` and not checked a second time.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .linalg import format_rational, parse_rational
 from .lincomb import LinComb
 from .ronco import key_sort_key
 from .structure import MuAlgebra, StructureAlgebra
+
+_ZERO = Fraction(0)  # what every zero coefficient string maps to, so a zero is told by identity
 
 
 def dumps_canonical(obj) -> str:
@@ -59,55 +69,76 @@ def _rows_text(table: dict) -> str:
     ], "  ")
 
 
-def _rows_to_table(rows, dim: int, what: str) -> dict:
+def _rows_to_table(rows, dim: int, what: str, values: dict) -> dict:
+    """The normalized table of `rows`, checked in one pass over the entries.
+
+    Each distinct coefficient string is parsed once, through `values`
+    (string -> Fraction), which the caller shares between the tables of one
+    load.  Zero values and empty cells are dropped, but still take their
+    index, so a repeated one is refused like any other.
+    """
     if not isinstance(rows, list):
         raise ValueError(f"{what} must be a list of rows")
     table: dict = {}
+    emptied = False  # some cell was empty or all zeros, and is in `table` for now
     for row in rows:
-        if not isinstance(row, dict) or not {"i", "j", "c"} <= row.keys():
+        if not (isinstance(row, dict) and "i" in row and "j" in row and "c" in row):
             raise ValueError(f"malformed row in {what}: {row!r}")
         i, j = row["i"], row["j"]
         if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"row index ({i!r}, {j!r}) out of range 1..{dim}")
         if (i - 1, j - 1) in table:
             raise ValueError(f"duplicate row ({i}, {j}) in {what}")
-        if not isinstance(row["c"], list):
-            raise ValueError(f"entries of {what} row ({i}, {j}) must be a list, got {row['c']!r}")
+        entries = row["c"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries of {what} row ({i}, {j}) must be a list, got {entries!r}")
         cell: dict = {}
-        for entry in row["c"]:
-            if not isinstance(entry, dict) or not {"k", "v"} <= entry.keys():
+        zeros = False  # some value was zero, and is in `cell` for now
+        for entry in entries:
+            if not (isinstance(entry, dict) and "k" in entry and "v" in entry):
                 raise ValueError(f"malformed entry in {what} row ({i}, {j}): {entry!r}")
             k = entry["k"]
             if not (type(k) is int and 1 <= k <= dim):
                 raise ValueError(f"entry index {k!r} out of range 1..{dim}")
             if k - 1 in cell:
                 raise ValueError(f"duplicate entry k={k} in {what} row ({i}, {j})")
-            if not isinstance(entry["v"], str):
-                raise ValueError(f"coefficient must be a rational string, got {entry['v']!r}")
-            cell[k - 1] = parse_rational(entry["v"])
+            text = entry["v"]
+            if not isinstance(text, str):
+                raise ValueError(f"coefficient must be a rational string, got {text!r}")
+            v = values.get(text)
+            if v is None:
+                v = values[text] = parse_rational(text) or _ZERO
+            if v is _ZERO:
+                zeros = True
+            cell[k - 1] = v
+        if zeros:
+            cell = {k: v for k, v in cell.items() if v is not _ZERO}
+        emptied = emptied or not cell
         table[(i - 1, j - 1)] = cell
-    return table
+    return {key: cell for key, cell in table.items() if cell} if emptied else table
 
 
 def obj_to_algebra(obj) -> StructureAlgebra | MuAlgebra:
+    """The algebra of a schema object; a malformed one raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("algebra JSON must be an object")
     dim = obj.get("dim")
     if type(dim) is not int or dim < 0:
         raise ValueError(f"\"dim\" must be a nonnegative integer, got {dim!r}")
     kind = obj.get("kind")
+    values: dict = {}  # coefficient string -> Fraction, for this load
     if kind == "leibniz":
         if "bracket" not in obj:
             raise ValueError('kind "leibniz" requires a "bracket" key')
-        return StructureAlgebra(dim, _rows_to_table(obj["bracket"], dim, "bracket"))
+        return StructureAlgebra._of(dim, _rows_to_table(obj["bracket"], dim, "bracket", values))
     if kind == "mu":
         for key in ("lie_bracket", "product"):
             if key not in obj:
                 raise ValueError(f'kind "mu" requires a "{key}" key')
-        return MuAlgebra(
+        return MuAlgebra._of(
             dim,
-            _rows_to_table(obj["lie_bracket"], dim, "lie_bracket"),
-            _rows_to_table(obj["product"], dim, "product"),
+            _rows_to_table(obj["lie_bracket"], dim, "lie_bracket", values),
+            _rows_to_table(obj["product"], dim, "product", values),
         )
     raise ValueError(f'"kind" must be "leibniz" or "mu", got {kind!r}')
 

@@ -75,6 +75,16 @@ class Record:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _of(cls, *values):
+        """Adopt `values` as the fields, in order, without copying them and
+        without the checks of the subclass's `__init__`: the caller has
+        built them in the form those checks would give."""
+        out = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(out, name, value)
+        return out
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 

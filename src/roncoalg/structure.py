@@ -43,9 +43,14 @@ def _check_dim(dim: int):
 
 
 def _normalize_table(dim: int, table: dict) -> dict:
-    """The table with every value a Fraction and no zeros.  Every index
-    must be an int, as the JSON reader requires: the writer prints it with %d.
-    A float or bool value is refused, not rounded; a string must be "p" or "p/q"."""
+    """The table with every value a Fraction and no zeros or empty cells,
+    the check of a table passed to a constructor.  Every index must be an
+    int in range, as the JSON reader requires: the writer prints it with %d.
+    A float or bool value is refused, not rounded; a string must be "p" or "p/q".
+
+    The JSON reader and the conversions build normalized tables themselves
+    and adopt them through `Record._of`, so this runs on tables that code
+    builds, not on every file that is read."""
     out: dict = {}
     for (i, j), cell in table.items():
         if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
@@ -310,30 +315,47 @@ def _over_common_denominator(s: dict, t: dict):
         yield k, u.numerator * d, w.numerator * q, q * d
 
 
+class _Fractions(dict):
+    """(numerator, denominator) -> the Fraction, each one made once: the
+    entries of a converted table repeat a few values many times."""
+
+    def __missing__(self, key):
+        value = self[key] = Fraction(*key)
+        return value
+
+
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2."""
     _require_ok(verify_variety(a, "ronco"), "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
+    made = _Fractions()
     for i, j in a.bracket.keys() | {(j, i) for i, j in a.bracket}:
-        lie[(i, j)] = anti = {}
-        prod[(i, j)] = sym = {}
+        anti: dict = {}
+        sym: dict = {}
         for k, x, y, n in _over_common_denominator(a.cell(i, j), a.cell(j, i)):
             if x != y:
-                anti[k] = Fraction(x - y, 2 * n)
+                anti[k] = made[x - y, 2 * n]
             if x != -y:
-                sym[k] = Fraction(x + y, 2 * n)
-    return MuAlgebra(a.dim, lie, prod)  # which drops the empty cells
+                sym[k] = made[x + y, 2 * n]
+        if anti:
+            lie[(i, j)] = anti
+        if sym:
+            prod[(i, j)] = sym
+    return MuAlgebra._of(a.dim, lie, prod)  # normalized: nonzero Fractions, no empty cells
 
 
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
     """Recombine as [x,y] = {x,y} + xy."""
     _require_ok(verify_mu(m), "input does not satisfy the bracket/product axioms")
     bracket: dict = {}
+    made = _Fractions()
     for i, j in m.lie_bracket.keys() | m.product.keys():
-        bracket[(i, j)] = {k: Fraction(x + y, n) for k, x, y, n
-                           in _over_common_denominator(m.lie_cell(i, j), m.product_cell(i, j)) if x != -y}
-    return StructureAlgebra(m.dim, bracket)  # which drops the empty cells
+        cell = {k: made[x + y, n] for k, x, y, n
+                in _over_common_denominator(m.lie_cell(i, j), m.product_cell(i, j)) if x != -y}
+        if cell:
+            bracket[(i, j)] = cell
+    return StructureAlgebra._of(m.dim, bracket)  # normalized: nonzero Fractions, no empty cells
 
 
 # ---------------------------------------------------------------------------

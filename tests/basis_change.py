@@ -1,10 +1,16 @@
-"""A random GL_n(ℚ) change of basis for structure-constant algebras, and
-coefficients of large height, shared by the property tests."""
+"""A random GL_n(ℚ) change of basis for structure-constant algebras,
+coefficients of large height, and the benchmark's seeded inputs, shared by
+the property tests."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+from roncoalg.jsonio import dumps_algebra
+from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import StructureAlgebra, bracket_eval
 
 SCALES = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-1/3")])
@@ -55,3 +61,21 @@ def change_basis(a: StructureAlgebra, p: list[list[Fraction]]) -> StructureAlgeb
             w = bracket_eval(a, columns[x], columns[y])
             table[(x, y)] = {k: sum(p_inv[k][m] * w[m] for m in range(n)) for k in range(n)}
     return StructureAlgebra(n, table)
+
+
+def perfbench_workloads():
+    """The benchmark's `workloads` module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def seeded_truncation(d: int, n: int, seed: int) -> StructureAlgebra:
+    """truncate(d, n) in the signed-permutation-and-scaling basis that the
+    `truncate-verify` benchmark draws for `seed`."""
+    workloads = perfbench_workloads()
+    dim, table = workloads.parse_table(dumps_algebra(truncate_to_structure(d, n)))
+    rng = workloads._rng("truncate-verify", seed, f"trunc-{d}-{n}")
+    return StructureAlgebra(dim, workloads.change_basis(dim, table, rng))

@@ -4,20 +4,27 @@ Everything runs in-process through main(argv) except one subprocess check
 of the `python -m roncoalg` entry point.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cli_oracle
+from basis_change import HEAVY_COEFFICIENTS, seeded_truncation
 from roncoalg import homology, ronco
-from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, _build_parser, main
+from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, _build_parser, _print_violations, main
 from roncoalg.errors import RoncoError
 from roncoalg.homology import MAX_CHAIN_DIM, MAX_DENSE_ENTRIES, h1_adjoint, hl1, hl2, hr0
 from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.ronco import truncate_to_structure
-from roncoalg.structure import free_nil2, ronco_to_mu
+from roncoalg.structure import StructureAlgebra, Violation, free_nil2, ronco_to_mu, verify_variety
 
 WITT_GOLDEN = "1\t2\n2\t1\n3\t2\n4\t3\n"
 
@@ -161,6 +168,46 @@ def test_convert_rejects_non_ronco(tmp_path, capsys):
     assert "violation: polarized-square-bracket at (1,1,1): e1:2" in out
     assert "violation: square-bracket at (1,1): e1:1" in out
     assert "3 violation(s)" in out
+
+
+def printed(printer, violations) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        printer(violations)
+    return out.getvalue()
+
+
+def oracle_report(violations) -> str:
+    return printed(cli_oracle._print_violations, violations)
+
+
+RESIDUALS = st.one_of(st.just(Fraction(0)), st.just(Fraction(-1)), HEAVY_COEFFICIENTS,
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+VIOLATIONS = st.builds(Violation, st.sampled_from(["leibniz", "alternating", "coupled-jacobi", "x y"]),
+                       st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
+                       st.lists(RESIDUALS, max_size=6).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VIOLATIONS, max_size=5))
+def test_violation_printer_matches_the_oracle(violations):
+    assert printed(_print_violations, violations) == oracle_report(violations)
+
+
+def test_violation_report_of_a_benchmark_input_matches_the_oracle(tmp_path, capsys):
+    # truncate(3,4) in a seeded basis of the truncate-verify benchmark, which
+    # is no Lie algebra
+    a = seeded_truncation(3, 4, 1)
+    path = tmp_path / "t34.json"
+    path.write_text(dumps_algebra(a))
+    report = verify_variety(a, "lie")
+    assert len(report.violations) == 51
+    assert run(capsys, ["verify", "--variety", "lie", str(path)]) == (1, oracle_report(report.violations), "")
+    # the same printer, after the error line, when a conversion is refused
+    path.write_text(BAD_LEIBNIZ)
+    report = verify_variety(StructureAlgebra(1, {(0, 0): {0: Fraction(1)}}), "ronco")
+    assert run(capsys, ["convert", "--to", "mu", str(path)]) == (
+        1, oracle_report(report.violations), "error: input does not satisfy the square-bracket identities\n")
 
 
 def test_homology_command(tmp_path, capsys):

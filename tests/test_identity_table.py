@@ -84,6 +84,9 @@ def test_conversions_match_oracle(data, coefficients):
     m = ronco_to_mu(a)
     assert m == oracle.split_bracket(a) == oracle.split_bracket_by_halves(a)
     assert mu_to_ronco(m) == oracle.recombine(m) == oracle.recombine_by_scaling(m) == a
+    # the conversions adopt the tables they build, which hold only Fractions
+    assert all(type(v) is Fraction for table in (m.lie_bracket, m.product, mu_to_ronco(m).bracket)
+               for cell in table.values() for v in cell.values())
     assert _ann_span(a).basis() == oracle.ann_span(a).basis()
 
 

@@ -1,18 +1,18 @@
 """Canonical JSON round-trips and input validation."""
 
-import importlib.util
-import sys
+import json
+from copy import deepcopy
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from basis_change import HEAVY_COEFFICIENTS
+from basis_change import HEAVY_COEFFICIENTS, perfbench_workloads, seeded_truncation
 import jsonio_oracle
 from jsonio_oracle import algebra_to_obj, graded_kernel_text
 from roncoalg.cli import MAX_BASIS_SIZE
+from roncoalg import jsonio
 from roncoalg.freelie import DEFAULT_MAX_DEGREE
 from roncoalg.homology import HomologyReport, hr0
 from roncoalg.jsonio import (
@@ -25,6 +25,7 @@ from roncoalg.jsonio import (
     ronco_element_to_obj,
     vectors_to_obj,
 )
+from roncoalg.linalg import parse_rational
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import eval_term, graded_basis, graded_dim, graded_kernel_basis, truncate_to_structure
 from roncoalg.structure import MuAlgebra, StructureAlgebra, free_nil2, ronco_to_mu
@@ -81,40 +82,204 @@ def test_dumps_canonical_shape():
     assert obj["product"] == [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1"}]}]
 
 
-@pytest.mark.parametrize("obj", [
-    [],
-    {"kind": "leibniz", "bracket": []},
-    {"dim": -1, "kind": "leibniz", "bracket": []},
-    {"dim": "2", "kind": "leibniz", "bracket": []},
-    {"dim": 2},
-    {"dim": 2, "kind": "lie", "bracket": []},
-    {"dim": 2, "kind": "leibniz"},
-    {"dim": 2, "kind": "mu", "lie_bracket": []},
-    {"dim": 2, "kind": "leibniz", "bracket": {}},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 3, "c": []}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 0, "j": 1, "c": []}]},
-    {"dim": 2, "kind": "leibniz",
-     "bracket": [{"i": 1, "j": 1, "c": []}, {"i": 1, "j": 1, "c": []}]},
-    {"dim": 2, "kind": "leibniz",
-     "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1"}, {"k": 2, "v": "1"}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 3, "v": "1"}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "0.5"}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1/0"}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": 1}]}]},
+LEIBNIZ_2 = {"dim": 2, "kind": "leibniz"}
+
+
+def row(i, j, *entries):
+    return {"i": i, "j": j, "c": [{"k": k, "v": v} for k, v in entries]}
+
+
+# (object, the message it is refused with); the ids "obj0", "obj1", ... are
+# pytest's own for the list of objects that first held these cases
+MALFORMED = [
+    ([], "algebra JSON must be an object"),
+    ({"kind": "leibniz", "bracket": []}, '"dim" must be a nonnegative integer, got None'),
+    ({"dim": -1, "kind": "leibniz", "bracket": []}, '"dim" must be a nonnegative integer, got -1'),
+    ({"dim": "2", "kind": "leibniz", "bracket": []}, '"dim" must be a nonnegative integer, got \'2\''),
+    ({"dim": 2}, '"kind" must be "leibniz" or "mu", got None'),
+    ({"dim": 2, "kind": "lie", "bracket": []}, '"kind" must be "leibniz" or "mu", got \'lie\''),
+    ({"dim": 2, "kind": "leibniz"}, 'kind "leibniz" requires a "bracket" key'),
+    ({"dim": 2, "kind": "mu", "lie_bracket": []}, 'kind "mu" requires a "product" key'),
+    ({**LEIBNIZ_2, "bracket": {}}, "bracket must be a list of rows"),
+    ({**LEIBNIZ_2, "bracket": [{"i": 1, "j": 1}]}, "malformed row in bracket: {'i': 1, 'j': 1}"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 3)]}, "row index (1, 3) out of range 1..2"),
+    ({**LEIBNIZ_2, "bracket": [row(0, 1)]}, "row index (0, 1) out of range 1..2"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1), row(1, 1)]}, "duplicate row (1, 1) in bracket"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "1"), (2, "1"))]}, "duplicate entry k=2 in bracket row (1, 1)"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (3, "1"))]}, "entry index 3 out of range 1..2"),
+    ({**LEIBNIZ_2, "bracket": [{"i": 1, "j": 1, "c": [{"k": 2}]}]},
+     "malformed entry in bracket row (1, 1): {'k': 2}"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "0.5"))]}, "not a rational literal: '0.5'"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "1/0"))]}, "zero denominator in rational literal: '1/0'"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, 1))]}, "coefficient must be a rational string, got 1"),
     # non-ASCII digits: "٣" was read as 3 and written back as "3"
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "٣"}]}]},
-    {"dim": 2, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1/٣"}]}]},
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "٣"))]}, "not a rational literal: '٣'"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "1/٣"))]}, "not a rational literal: '1/٣'"),
     # an entry list that is not a list; 5 and null once crashed the reader with a TypeError
-    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": 5}]},
-    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": None}]},
-    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": "1"}]},
-    {"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": {}}]},
-])
-def test_rejects_malformed_algebra_objects(obj):
-    with pytest.raises(ValueError):
+    ({"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": 5}]},
+     "entries of bracket row (1, 1) must be a list, got 5"),
+    ({"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": None}]},
+     "entries of bracket row (1, 1) must be a list, got None"),
+    ({"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": "1"}]},
+     "entries of bracket row (1, 1) must be a list, got '1'"),
+    ({"dim": 1, "kind": "leibniz", "bracket": [{"i": 1, "j": 1, "c": {}}]},
+     "entries of bracket row (1, 1) must be a list, got {}"),
+    # zero values and empty cells are dropped, but still take their index
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (2, "0"), (2, "1"))]}, "duplicate entry k=2 in bracket row (1, 1)"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 1, (1, "1"), (2, "-0"), (2, "0/7"))]},
+     "duplicate entry k=2 in bracket row (1, 1)"),
+    ({**LEIBNIZ_2, "bracket": [row(1, 2), row(1, 2, (1, "1"))]}, "duplicate row (1, 2) in bracket"),
+    ({**LEIBNIZ_2, "bracket": [row(2, 1, (1, "0/7")), row(1, 1), row(2, 1)]}, "duplicate row (2, 1) in bracket"),
+    ({"dim": 2, "kind": "mu", "lie_bracket": [row(1, 2, (1, "0"))], "product": [row(1, 1, (1, "1/2 ")),
+      row(2, 2, (1, 2))]}, "coefficient must be a rational string, got 2"),
+]
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED, ids=[f"obj{n}" for n in range(len(MALFORMED))])
+def test_rejects_malformed_algebra_objects(obj, message):
+    with pytest.raises(ValueError) as exc:
         obj_to_algebra(obj)
+    assert str(exc.value) == message
+
+
+def test_zero_values_and_empty_cells_are_dropped():
+    obj = {"dim": 2, "kind": "mu",
+           "lie_bracket": [row(1, 2, (1, "0"), (2, " 1/2")), row(2, 1, (2, "-0"), (1, "0/7")), row(2, 2)],
+           "product": [row(1, 1, (2, "2/4"), (1, "1/2 "))]}
+    half = Fraction(1, 2)
+    x = obj_to_algebra(obj)
+    assert x == MuAlgebra(2, {(0, 1): {1: half}}, {(0, 0): {0: half, 1: half}})
+    assert x.lie_bracket == {(0, 1): {1: half}}
+    assert all(type(v) is Fraction for table in (x.lie_bracket, x.product)
+               for cell in table.values() for v in cell.values())
+
+
+def fresh(*values):
+    """One of `values`, a new copy at each draw, since mutations edit drawn objects in place."""
+    return st.sampled_from(values).map(deepcopy)
+
+
+# Coefficient strings for the reader: zeros in three spellings, padded and
+# unreduced spellings of one value; then strings that fail to parse, and
+# values that are no strings at all.
+VALUE_TEXTS = st.sampled_from(["0", "-0", "0/7", "1", "-1", "1/2", " 1/2", "1/2 ", "2/4", "-3/7", "10/6", "12"])
+BAD_VALUES = fresh("", "0.5", "1/0", "1/-2", "+1", "٣", "1/٣", "x", 1, 0, -2, 1.5, True, None, [], {})
+BAD_ROWS = fresh(None, 5, "row", [], {"i": 1, "j": 1}, {"i": 1, "c": []}, {"j": 1, "c": []})
+BAD_ENTRIES = fresh(None, 3, "e", [2, "1"], {"k": 1}, {"v": "1"}, {})
+TABLES = {"leibniz": ("bracket",), "mu": ("lie_bracket", "product")}
+# the parts inside the tables, where most checks are, are drawn more often
+MUTATIONS = ["dim", "kind", "drop-table", "table", "cells"] + 2 * ["row", "row-index", "duplicate-row", "entry",
+                                                                  "entry-index", "duplicate-k", "value"]
+
+
+def rows_of(dim: int):
+    """Well-formed rows: distinct cells, distinct entries within a row,
+    empty and all-zero rows included."""
+    if not dim:
+        return st.builds(list)
+    index = st.integers(1, dim)
+    entries = st.lists(st.fixed_dictionaries({"k": index, "v": VALUE_TEXTS}), max_size=dim,
+                       unique_by=lambda e: e["k"])
+    return st.lists(st.fixed_dictionaries({"i": index, "j": index, "c": entries}), max_size=2 * dim,
+                    unique_by=lambda r: (r["i"], r["j"]))
+
+
+@st.composite
+def algebra_objects(draw):
+    """A valid algebra object, or one with one to three mutations."""
+    dim = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(sorted(TABLES)))
+    obj = {"dim": dim, "kind": kind}
+    for key in TABLES[kind]:
+        obj[key] = draw(rows_of(dim))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2, 3]))):
+        mutate(draw, obj)
+    return obj
+
+
+def mutate(draw, obj: dict):
+    """Break one part of `obj` in place; a part that is already gone is left alone."""
+    dim = obj["dim"] if type(obj.get("dim")) is int and obj["dim"] > 0 else 1
+    bad_index = fresh(0, -1, dim + 1, 10**6, True, False, 1.0, "1", None, [1])  # out of range, or no int
+    keys = TABLES.get(obj.get("kind"), ())
+    tables = [obj[key] for key in keys if isinstance(obj.get(key), list)]
+    rows = [r for t in tables for r in t if isinstance(r, dict) and isinstance(r.get("c"), list)]
+    entries = [e for r in rows for e in r["c"] if isinstance(e, dict)]
+    what = draw(st.sampled_from(MUTATIONS))
+    if what == "dim":
+        obj["dim"] = draw(fresh(-1, 4, 10**6, "2", 2.0, True, None))
+    elif what == "kind":
+        obj["kind"] = draw(fresh("lie", "leibniz", "mu", None, 1))
+    elif what == "drop-table" and keys:
+        obj.pop(draw(st.sampled_from(keys)), None)
+    elif what == "table" and keys:
+        obj[draw(st.sampled_from(keys))] = draw(fresh({}, None, "[]", 3))
+    elif what == "row" and tables:
+        t = draw(st.sampled_from(tables))
+        t.insert(draw(st.integers(0, len(t))), draw(BAD_ROWS))
+    elif what == "row-index" and rows:
+        draw(st.sampled_from(rows))[draw(st.sampled_from("ij"))] = draw(bad_index)
+    elif what == "cells" and rows:
+        draw(st.sampled_from(rows))["c"] = draw(fresh(None, 5, "1", {}, ()))
+    elif what == "duplicate-row" and tables:
+        # a cell written twice; the first may be empty or all zeros
+        t = draw(st.sampled_from(tables))
+        i, j = draw(st.integers(1, dim)), draw(st.integers(1, dim))
+        first = draw(fresh([], [{"k": 1, "v": "0"}], [{"k": 1, "v": "-0"}, {"k": dim, "v": "0/7"}],
+                           [{"k": 1, "v": "1/2"}]))
+        second = draw(fresh([], [{"k": 1, "v": "1"}]))
+        at = draw(st.integers(0, len(t)))
+        t[at:at] = [{"i": i, "j": j, "c": first}, {"i": i, "j": j, "c": second}]
+    elif what == "entry" and rows:
+        c = draw(st.sampled_from(rows))["c"]
+        c.insert(draw(st.integers(0, len(c))), draw(BAD_ENTRIES))
+    elif what == "entry-index" and entries:
+        draw(st.sampled_from(entries))["k"] = draw(bad_index)
+    elif what == "duplicate-k" and rows:
+        # an index given twice in a row; the first may hold a zero
+        r = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([e["k"] for e in r["c"] if isinstance(e, dict) and "k" in e] or [1]))
+        r["c"][:0] = [{"k": k, "v": draw(st.sampled_from(["0", "-0", "0/7"]))}, {"k": k, "v": draw(VALUE_TEXTS)}]
+    elif what == "value" and entries:
+        draw(st.sampled_from(entries))["v"] = draw(BAD_VALUES | VALUE_TEXTS)
+
+
+def outcome(read, obj):
+    try:
+        return read(obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(algebra_objects())
+@example({"dim": 2, "kind": "leibniz", "bracket": [row(1, 1, (1, "0"), (1, "1"))]})
+@example({"dim": 2, "kind": "leibniz", "bracket": [row(1, 1, (2, "-0")), row(1, 2), row(1, 1, (1, "1"))]})
+@example({"dim": 2, "kind": "mu", "lie_bracket": [row(1, 2, (1, "0/7"))], "product": [row(1, 2), row(1, 2)]})
+@example({"dim": 2, "kind": "mu", "lie_bracket": [row(1, 2, (1, " 1/2"), (2, "2/4"))],
+          "product": [row(2, 1, (1, "1/2 "), (2, "0"))]})
+@example({"dim": 2, "kind": "leibniz", "bracket": [row(1, 1, (1, None))]})
+@example({"dim": 2, "kind": "leibniz", "bracket": [row(1, 1, (3, "1"))]})
+def test_reader_matches_the_oracle(obj):
+    # the same algebra, with values that are Fractions, or the same message
+    got = outcome(obj_to_algebra, obj)
+    assert got == outcome(jsonio_oracle.obj_to_algebra, obj)
+    if not isinstance(got, str):
+        tables = (got.bracket,) if isinstance(got, StructureAlgebra) else (got.lie_bracket, got.product)
+        assert all(cell and all(type(v) is Fraction and v for v in cell.values())
+                   for table in tables for cell in table.values())
+
+
+def test_each_distinct_coefficient_string_is_parsed_once_per_load(monkeypatch):
+    a = seeded_truncation(3, 4, 1)
+    for text in (dumps_algebra(a), dumps_algebra(ronco_to_mu(a))):
+        obj = json.loads(text)
+        strings = [e["v"] for key in TABLES[obj["kind"]] for r in obj[key] for e in r["c"]]
+        parsed = []
+        monkeypatch.setattr(jsonio, "parse_rational", lambda s: parsed.append(s) or parse_rational(s))
+        assert loads_algebra(text) == jsonio_oracle.obj_to_algebra(obj)
+        assert sorted(parsed) == sorted(set(strings))
+        assert len(parsed) < len(strings)
 
 
 def test_ronco_element_to_obj():
@@ -194,18 +359,10 @@ def test_direct_writer_prints_the_standard_library_bytes(data, values):
         assert dumps_algebra(x) == standard_library_bytes(x)
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_direct_writer_on_the_benchmark_inputs():
     # every truncation of the truncate-verify workload, in the stock basis
     # and in its seeded bases for seeds 1-10, and the mu split of each
-    workloads = _perfbench_workloads()
+    workloads = perfbench_workloads()
     for d, n in workloads.TRUNCATIONS:
         name = f"trunc-{d}-{n}"
         stock = truncate_to_structure(d, n)
