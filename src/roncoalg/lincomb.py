@@ -216,16 +216,20 @@ def format_lincomb(lc: LinComb, key_str, sort_key) -> str:
 
     Terms are ordered by `sort_key`; a coefficient of magnitude 1 is left
     implicit, otherwise it is printed as a canonical rational followed by a
-    middle dot.
+    middle dot.  The sign and the magnitude are read off the coefficient's
+    text, which for an `int` or a `Fraction` is its canonical rational.
     """
-    if lc.is_zero():
+    coeffs = lc.coeffs
+    if not coeffs:
         return "0"
     pieces: list[str] = []
-    for key, c in lc.sorted_items(key=sort_key):
-        mag = abs(c)
-        body = key_str(key) if mag == 1 else f"{mag}·{key_str(key)}"
+    for key in sorted(coeffs, key=sort_key):
+        text = str(coeffs[key])
+        negative = text[0] == "-"
+        mag = text[1:] if negative else text
+        body = key_str(key) if mag == "1" else f"{mag}·{key_str(key)}"
         if not pieces:
-            pieces.append(f"-{body}" if c < 0 else body)
+            pieces.append(f"-{body}" if negative else body)
         else:
-            pieces.append(f"{' - ' if c < 0 else ' + '}{body}")
+            pieces.append(f"{' - ' if negative else ' + '}{body}")
     return "".join(pieces)

@@ -325,23 +325,32 @@ class _Fractions(dict):
 
 
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
-    """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2."""
+    """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2.
+
+    Each unordered pair {i, j} is split once: (j, i) gets the negated
+    antisymmetric half and the same symmetric half.
+    """
     _require_ok(verify_variety(a, "ronco"), "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
     made = _Fractions()
-    for i, j in a.bracket.keys() | {(j, i) for i, j in a.bracket}:
+    for i, j in {(i, j) if i <= j else (j, i) for i, j in a.bracket}:
         anti: dict = {}
+        swapped: dict = {}
         sym: dict = {}
         for k, x, y, n in _over_common_denominator(a.cell(i, j), a.cell(j, i)):
             if x != y:
                 anti[k] = made[x - y, 2 * n]
+                swapped[k] = made[y - x, 2 * n]
             if x != -y:
                 sym[k] = made[x + y, 2 * n]
-        if anti:
+        if anti:  # never for i == j
             lie[(i, j)] = anti
+            lie[(j, i)] = swapped
         if sym:
             prod[(i, j)] = sym
+            if i != j:
+                prod[(j, i)] = dict(sym)  # no two cells share a dict
     return MuAlgebra._of(a.dim, lie, prod)  # normalized: nonzero Fractions, no empty cells
 
 

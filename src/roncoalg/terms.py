@@ -10,7 +10,18 @@ Grammar (whitespace ignored everywhere):
 
 "*" binds tighter than "+"/"-"; brackets take two full terms, so there is
 no precedence ambiguity inside "[ , ]".  Scalars appear only as prefixes
-("1/2*[g1,g2]"), never as standalone summands.
+("1/2*[g1,g2]"), never as standalone summands.  Digits are ASCII 0-9, and
+whitespace is what `str.isspace` accepts.
+
+The parser scans a term once, with one compiled regular expression that
+splits it into tokens, each with the blanks before it; the grammar then
+reads the token list.  A syntax error reports the 1-based position of the
+character it is at, counted back from the tokens only when it is raised.
+
+The evaluator works over ℤ with one denominator: a subterm is carried as
+integer coefficients over one positive denominator, and the value is
+divided out once, at the end.  The free-algebra brackets have integer
+structure constants, so no `Fraction` arithmetic happens in between.
 
 The printer and the evaluator recurse on the tree, and "+"/"-" chains nest
 to the left, so a term may be at most MAX_TERM_DEPTH levels deep: each
@@ -20,11 +31,13 @@ Deeper input is a TermSyntaxError, not a RecursionError.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Union
 
 from .errors import TermSyntaxError, UnknownGeneratorError
-from .lincomb import Record
+from .lincomb import LinComb, Record, _add_scaled
 
 MAX_TERM_DEPTH = 200
 
@@ -51,35 +64,37 @@ class Diff(Record):
 
 Term = Union[Generator, Bracket, Scale, Sum, Diff]
 
+# (blanks, token): a generator with its digits (none is an error the parser
+# reports), an unsigned integer, or any other single character.  `\s` is
+# `str.isspace`; digits are spelled out because `\d` also takes "٣".
+_TOKEN = re.compile(r"(\s*)(g[0-9]*|[0-9]+|\S)")
+
 
 class _Parser:
-    """Recursive descent; each production returns (term, height of its tree)."""
+    """Recursive descent over the token list; each production returns
+    (term, height of its tree).
+
+    `atom` also reads the grammar's `factor` and `gen`, so a leaf without
+    a scalar costs one call.
+    """
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        body = text.rstrip()  # trailing blanks would make the regex rescan to the end
+        self.tokens = _TOKEN.findall(body)
+        self.tokens.append((text[len(body):], ""))  # the end of the input
+        self.i = 0  # the next token
         self.level = 0  # open brackets, parentheses and scalar prefixes
 
-    def error(self, message: str, pos: int | None = None):
-        raise TermSyntaxError(message, (self.pos if pos is None else pos) + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
+    def error(self, message: str, offset: int = 0):
+        """Raise at the start of the next token, moved by `offset` characters."""
+        before = sum(len(blanks) + len(token) for blanks, token in self.tokens[:self.i])
+        raise TermSyntaxError(message, before + len(self.tokens[self.i][0]) + offset + 1)
 
     def bounded(self, height: int) -> int:
-        """Reject a subtree once the open nesting plus its height passes the cap."""
+        """Reject a subtree once the open nesting plus its height passes the cap;
+        the error is at the end of the last token read."""
         if self.level + height > MAX_TERM_DEPTH:
-            self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels")
+            self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels", -len(self.tokens[self.i][0]))
         return height
 
     def descend(self):
@@ -89,57 +104,65 @@ class _Parser:
         self.level += 1
         self.bounded(1)
 
+    def expect(self, token: str):
+        if self.tokens[self.i][1] != token:
+            self.error(f"expected {token!r}")
+        self.i += 1
+
     def parse(self) -> Term:
-        self.skip_ws()
         t, _ = self.term()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tokens[self.i][1]:
             self.error("unexpected trailing input")
         return t
 
     def term(self) -> tuple[Term, int]:
         left, height = self.atom()
+        tokens = self.tokens
         while True:
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("+", "-"):
+            op = tokens[self.i][1]
+            if op != "+" and op != "-":
                 return left, height
-            self.pos += 1
+            self.i += 1
             right, right_height = self.atom()
-            left = Sum((left, right)) if op == "+" else Diff(left, right)
+            left = Sum._of((left, right)) if op == "+" else Diff._of(left, right)
             height = self.bounded(max(height, right_height) + 1)
 
     def atom(self) -> tuple[Term, int]:
-        self.skip_ws()
-        ch = self.peek()
-        if "0" <= ch <= "9" or (ch == "-" and "0" <= self.text[self.pos + 1:self.pos + 2] <= "9"):
-            coeff = self.rational()
-            self.skip_ws()
-            if self.peek() != "*":
-                self.error("expected '*' after scalar")
-            self.pos += 1
-            self.descend()
-            term, height = self.atom()
-            self.level -= 1
-            return Scale(coeff, term), self.bounded(height + 1)
-        return self.factor()
-
-    def factor(self) -> tuple[Term, int]:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "g":
-            return self.generator(), 1
-        if ch == "[":
-            self.pos += 1
+        tokens = self.tokens
+        i = self.i
+        token = tokens[i][1]
+        first = token[:1]
+        if first == "g":
+            if len(token) == 1:
+                self.error("expected generator index", 1)
+            index = int(token[1:])
+            if index < 1:
+                self.error("generator index must be >= 1")
+            self.i = i + 1
+            return Generator._of(index), 1
+        if token == "[":
+            self.i = i + 1
             self.descend()
             left, left_height = self.term()
             self.expect(",")
             right, right_height = self.term()
             self.expect("]")
             self.level -= 1
-            return Bracket(left, right), self.bounded(max(left_height, right_height) + 1)
-        if ch == "(":
-            self.pos += 1
+            return Bracket._of(left, right), self.bounded(max(left_height, right_height) + 1)
+        # only the integer token starts with an ASCII digit; a minus is a sign
+        # only at the start of an atom, with a digit right after it
+        if "0" <= first <= "9" or (
+                token == "-" and tokens[i + 1][0] == "" and "0" <= tokens[i + 1][1][:1] <= "9"):
+            coeff = self.rational()
+            if tokens[self.i][1] != "*":
+                self.error("expected '*' after scalar")
+            self.i += 1
+            self.descend()
+            term, height = self.atom()
+            self.level -= 1
+            return Scale._of(coeff, term), self.bounded(height + 1)
+        if token == "(":
+            self.i = i + 1
             self.descend()
             inner = self.term()
             self.expect(")")
@@ -147,38 +170,24 @@ class _Parser:
             return inner
         self.error("expected generator, '[' or '('")
 
-    def generator(self) -> Generator:
-        start = self.pos
-        self.pos += 1  # past 'g'
-        digits = self.digits("generator index")
-        index = int(digits)
-        if index < 1:
-            self.error("generator index must be >= 1", start)
-        return Generator(index)
-
-    def digits(self, what: str) -> str:
-        start = self.pos
-        # ASCII only: str.isdigit also takes "²" and "٢"; peek's "" at the end is below "0"
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.error(f"expected {what}")
-        return self.text[start:self.pos]
-
     def rational(self) -> Fraction:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        num = int(self.text[start:self.pos] + self.digits("integer"))
-        self.skip_ws()
-        if self.peek() != "/":
+        tokens = self.tokens
+        sign = 1
+        if tokens[self.i][1] == "-":
+            sign = -1
+            self.i += 1
+        num = sign * int(tokens[self.i][1])
+        self.i += 1
+        if tokens[self.i][1] != "/":
             return Fraction(num)
-        self.pos += 1
-        self.skip_ws()
-        den_start = self.pos
-        den = int(self.digits("denominator"))
-        if den == 0:
-            self.error("zero denominator", den_start)
+        self.i += 1
+        token = tokens[self.i][1]
+        if not "0" <= token[:1] <= "9":
+            self.error("expected denominator")
+        den = int(token)
+        if not den:
+            self.error("zero denominator")
+        self.i += 1
         return Fraction(num, den)
 
 
@@ -209,23 +218,63 @@ def _operand(term: Term) -> str:
     return format_term(term)
 
 
-def evaluate(term: Term, generator: Callable, bracket: Callable):
-    """Homomorphic evaluation into any algebra with LinComb-style values."""
-    if isinstance(term, Generator):
-        return generator(term.index)
-    if isinstance(term, Bracket):
-        return bracket(evaluate(term.left, generator, bracket), evaluate(term.right, generator, bracket))
-    if isinstance(term, Scale):
-        return evaluate(term.term, generator, bracket).scale(term.coeff)
-    if isinstance(term, Sum):
-        values = [evaluate(t, generator, bracket) for t in term.terms]
-        out = values[0]
-        for v in values[1:]:
-            out = out + v
-        return out
-    if isinstance(term, Diff):
-        return evaluate(term.left, generator, bracket) - evaluate(term.right, generator, bracket)
+def evaluate(term: Term, generator: Callable, bracket: Callable) -> LinComb:
+    """Homomorphic evaluation into a free algebra with `LinComb` values.
+
+    Works over ℤ with one denominator: each subterm is carried as a dict of
+    integer coefficients over one positive denominator D.  A generator's
+    value is cleared of denominators; p/q·t scales the integers by p and D
+    by q; a bracket calls `bracket` on the two integer parts, and D becomes
+    Dx·Dy; a sum or difference brings both parts to the lcm of their
+    denominators.  Each coefficient is divided by D once, at the end, so the
+    value holds nonzero `Fraction`s.  `bracket` therefore receives elements
+    with integer coefficients and must be bilinear, as the brackets of
+    `freelie`, `leibniz` and `ronco` are.  Subterms are evaluated left to
+    right, so the first error raised is the one the tree meets first.
+    """
+    data, den = _evaluate(term, generator, bracket)
+    return LinComb._of({key: Fraction(n, den) for key, n in data.items()})
+
+
+def _evaluate(term: Term, generator: Callable, bracket: Callable) -> tuple[dict, int]:
+    """(integer coefficients, denominator) of a subterm; the dict is new or the
+    bracket's own result, and is never mutated here."""
+    kind = type(term)
+    if kind is Generator:
+        coeffs = generator(term.index).coeffs
+        den = 1
+        for c in coeffs.values():
+            den = lcm(den, c.denominator)
+        return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+    if kind is Bracket:
+        x, dx = _evaluate(term.left, generator, bracket)
+        y, dy = _evaluate(term.right, generator, bracket)
+        return bracket(LinComb._of(x), LinComb._of(y)).coeffs, dx * dy
+    if kind is Scale:
+        x, den = _evaluate(term.term, generator, bracket)
+        p = term.coeff.numerator
+        if not p:
+            return {}, 1
+        return {key: p * n for key, n in x.items()}, den * term.coeff.denominator
+    if kind is Sum:
+        parts = [_evaluate(t, generator, bracket) for t in term.terms]
+        out, den = parts[0]
+        for y, dy in parts[1:]:
+            out, den = _combine(out, den, 1, y, dy)
+        return out, den
+    if kind is Diff:
+        x, dx = _evaluate(term.left, generator, bracket)
+        y, dy = _evaluate(term.right, generator, bracket)
+        return _combine(x, dx, -1, y, dy)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _combine(x: dict, dx: int, sign: int, y: dict, dy: int) -> tuple[dict, int]:
+    """x/dx + sign·y/dy over the lcm of the denominators, in a new dict."""
+    den = lcm(dx, dy)
+    out = dict(x) if den == dx else {key: n * (den // dx) for key, n in x.items()}
+    _add_scaled(out, sign * (den // dy), y)
+    return out, den
 
 
 def _evaluate_on(term: Term, num_gens: int, generator: Callable, bracket: Callable):
