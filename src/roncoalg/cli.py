@@ -85,7 +85,8 @@ def _print_violations(violations):
 def _cmd_lyndon(args) -> int:
     _check_size("--gens", args.gens)
     _check_size("--len", args.length)
-    _check_size("the number of Lyndon words", witt_dim(args.gens, args.length))
+    if args.gens >= 1 and args.length >= 1:  # smaller ones are refused by lyndon_words
+        _check_size("the number of Lyndon words", witt_dim(args.gens, args.length))
     for word in lyndon_words(args.gens, args.length):
         print(format_word(word, args.gens))
     return 0
@@ -145,8 +146,9 @@ def _cmd_ronco_truncate(args) -> int:
     if args.max <= max_degree:  # a larger cutoff is refused by the degree cap
         _check_size("--gens", args.gens)
         _check_size("--max", args.max)
-        _check_size("the dimension of the truncation",
-                    sum(ronco.graded_dim(args.gens, n) for n in range(1, args.max + 1)))
+        if args.gens >= 1 and args.max >= 1:  # smaller ones are refused by the truncation
+            _check_size("the dimension of the truncation",
+                        sum(ronco.graded_dim(args.gens, n) for n in range(1, args.max + 1)))
     algebra = ronco.truncate_to_structure(args.gens, args.max, max_degree)
     _emit(jsonio.dumps_algebra(algebra), args.output)
     return 0

@@ -6,7 +6,8 @@ standard bracketing.  The bracket stays in these coordinates: two Lyndon
 words are bracketed by the classical rewriting of Lyndon brackets
 (Reutenauer, *Free Lie Algebras*, ch. 4-5), with integer coefficients and
 one cache entry per pair of words; `lie_bracket` and the left-normed
-bracketing of words (one letter at a time) are built on it.
+bracketing of words (one letter at a time) are built on it.  Maps on
+words reach elements through `lincomb._extend_linearly`.
 
 Lie elements also act from the right on other free algebras.  In any right
 Leibniz algebra [x,[y,z]] = [[x,y],z] − [[x,z],y], so right multiplication
@@ -30,11 +31,10 @@ The bracket accepts a degree cap (default 8) and refuses larger results.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .errors import DegreeOverflowError, InternalError, NotLieElementError
-from .lincomb import LinComb, _add_scaled
+from .lincomb import LinComb, _add_scaled, _extend_linearly
 
 Word = tuple[int, ...]
 
@@ -174,13 +174,9 @@ def tensor_commutator(a: LinComb, b: LinComb) -> LinComb:
     """a⊗b - b⊗a on tensor elements, extended bilinearly."""
     data: dict = {}
     for wa, ca in a:
-        for wb, cb in b:
-            c = ca * cb
-            k1 = wa + wb
-            k2 = wb + wa
-            data[k1] = data.get(k1, Fraction(0)) + c
-            data[k2] = data.get(k2, Fraction(0)) - c
-    return LinComb(data)
+        _add_scaled(data, ca, {wa + wb: cb for wb, cb in b})
+        _add_scaled(data, -ca, {wb + wa: cb for wb, cb in b})
+    return LinComb._of(data)
 
 
 @cache
@@ -200,10 +196,7 @@ def _require_lyndon(words):
 def expand_to_tensor(x: LinComb) -> LinComb:
     """Embed a Lie element into the tensor algebra via its standard bracketings."""
     _require_lyndon(x.keys())
-    out: dict = {}
-    for word, c in x:
-        _add_scaled(out, c, _expand_word(word).coeffs)
-    return LinComb._of(out)
+    return LinComb._of(_extend_linearly(lambda word: _expand_word(word).coeffs, x.coeffs))
 
 
 def rewrite_to_lyndon(t: LinComb) -> LinComb:
@@ -234,8 +227,9 @@ def _lyndon_bracket(u: Word, v: Word) -> dict:
     For u < v with standard factorization u = u1·u2, the word uv is Lyndon
     with standard factorization (u, v) when u is a letter or u2 >= v;
     otherwise Jacobi gives [u, v] = [[u1, v], u2] + [u1, [u2, v]], and the
-    classical rewriting recurses on those brackets.  The result is shared
-    through the cache and must not be mutated.
+    classical rewriting recurses on those brackets: the outer bracket of
+    each sum is extended linearly over the Lyndon words of the inner one.
+    The result is shared through the cache and must not be mutated.
     """
     if u == v:
         return {}
@@ -246,12 +240,8 @@ def _lyndon_bracket(u: Word, v: Word) -> dict:
     u1, u2 = standard_factorization(u)
     if u2 >= v:
         return {u + v: 1}
-    out: dict = {}
-    for w, c in _lyndon_bracket(u1, v).items():
-        _add_scaled(out, c, _lyndon_bracket(w, u2))
-    for w, c in _lyndon_bracket(u2, v).items():
-        _add_scaled(out, c, _lyndon_bracket(u1, w))
-    return out
+    out = _extend_linearly(lambda w: _lyndon_bracket(w, u2), _lyndon_bracket(u1, v))
+    return _extend_linearly(lambda w: _lyndon_bracket(u1, w), _lyndon_bracket(u2, v), out)
 
 
 @cache
@@ -259,20 +249,14 @@ def _left_normed_word(word: Word) -> dict:
     """[[w1, w2], ..., wn] as {Lyndon word: nonzero int}; shared, do not mutate."""
     if len(word) == 1:
         return {word: 1}
-    out: dict = {}
-    for w, c in _left_normed_word(word[:-1]).items():
-        _add_scaled(out, c, _lyndon_bracket(w, word[-1:]))
-    return out
+    return _extend_linearly(lambda w: _lyndon_bracket(w, word[-1:]), _left_normed_word(word[:-1]))
 
 
 def left_normed_bracketing(t: LinComb) -> LinComb:
     """Left-normed bracketing of a tensor element, as a Lie element."""
-    out: dict = {}
-    for word, c in t:
-        if not word:
-            raise ValueError("the empty word has no left-normed bracketing")
-        _add_scaled(out, c, _left_normed_word(word))
-    return LinComb._of(out)
+    if () in t.coeffs:
+        raise ValueError("the empty word has no left-normed bracketing")
+    return LinComb._of(_extend_linearly(_left_normed_word, t.coeffs))
 
 
 def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:

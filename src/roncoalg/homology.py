@@ -31,11 +31,12 @@ before anything else, the variety check included.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Iterable
 
 from .errors import InternalError, RoncoError
-from .lincomb import Record, _add_scaled
+from .lincomb import Record, _add_scaled, _extend_linearly
 # MAX_DENSE_ENTRIES stays importable from here; the budget is read in linalg
 from .linalg import MAX_DENSE_ENTRIES, SpanBuilder, _check_dense, _dense, _span
 from .structure import StructureAlgebra, _require_ok, basis_vector, verify_variety
@@ -78,13 +79,7 @@ def _quotient(op: str, ambient: int, relations: Iterable[dict]) -> HomologyRepor
 
 def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> HomologyReport:
     """Ker ∂ modulo the span of the boundaries, ∂ given by its sparse columns."""
-
-    def image(vec: dict) -> dict:
-        out: dict = {}
-        for t, c in vec.items():
-            _add_scaled(out, c, columns[t])
-        return out
-
+    image = partial(_extend_linearly, columns.__getitem__)
     rows: dict = {}
     for t, col in enumerate(columns):
         for p, v in col.items():

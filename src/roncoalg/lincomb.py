@@ -12,6 +12,8 @@ that produces the element:
     word ``()`` marks the degree-1 summand.
 
 Zero coefficients are never stored, so equality is plain dict equality.
+Sparse dicts are added by one loop, `_add_scaled`; `_extend_linearly`
+extends a map on basis keys linearly through it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ def _add_scaled(acc: dict, scale: Scalar, term: dict):
     """acc += scale·term on sparse dicts, in place; entries that cancel are dropped.
 
     `term` stores no zeros, as no sparse vector in this package does.  The
-    one accumulation loop of the package: free-algebra brackets, structure
-    tables and elimination all add through it.
+    one add-and-drop-zeros loop of the package: free-algebra brackets,
+    `LinComb` construction, structure tables and elimination all add
+    through it.
     """
     if not scale:
         return
@@ -41,6 +44,16 @@ def _add_scaled(acc: dict, scale: Scalar, term: dict):
                 del acc[k]
         else:
             acc[k] = scale * v
+
+
+def _extend_linearly(image, x: dict, acc: dict | None = None) -> dict:
+    """Σ c·image(key) over the sparse dict x, added into `acc` (a new dict if
+    None) and returned: a map on basis keys, extended linearly.  Images are
+    sparse dicts and are only read, so a cache may share them."""
+    out = {} if acc is None else acc
+    for key, c in x.items():
+        _add_scaled(out, c, image(key))
+    return out
 
 
 class Record:
@@ -120,20 +133,13 @@ class LinComb:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for key, c in items:
-                c = Fraction(c)
-                if c:
-                    c0 = data.get(key)
-                    if c0 is None:
-                        data[key] = c
-                    elif c0 + c:
-                        data[key] = c0 + c
-                    else:
-                        del data[key]
+                _add_scaled(data, Fraction(c), {key: 1})
         self.coeffs = data
 
     @classmethod
     def basis(cls, key, coeff: Scalar = 1) -> "LinComb":
-        return cls([(key, coeff)])
+        coeff = Fraction(coeff)  # one key, nothing to merge: skips the Fraction product of __init__
+        return cls._of({key: coeff} if coeff else {})
 
     @classmethod
     def zero(cls) -> "LinComb":

@@ -44,7 +44,7 @@ from .freelie import (
     lyndon_words,
     witt_dim,
 )
-from .lincomb import LinComb, _add_scaled
+from .lincomb import LinComb, _extend_linearly
 from .linalg import _span
 from .structure import StructureAlgebra
 from . import terms
@@ -86,12 +86,9 @@ def _project_word(word: Word) -> dict:
 
 def project(x: LinComb) -> LinComb:
     """Quotient map from tensor words: v1⊗…⊗vn ↦ [[v1,…],v_{n-1}] ⊗ vn."""
-    out: dict = {}
-    for word, c in x:
-        if not word:
-            raise ValueError("project needs words of length >= 1, got the empty word")
-        _add_scaled(out, c, _project_word(word))
-    return LinComb._of(out)
+    if () in x.coeffs:
+        raise ValueError("project needs words of length >= 1, got the empty word")
+    return LinComb._of(_extend_linearly(_project_word, x.coeffs))
 
 
 @cache
@@ -108,10 +105,7 @@ def section(x: LinComb) -> LinComb:
     Sends (ℓ, v) to (1/|ℓ|)·expand(ℓ)⊗v; the 1/|ℓ| factor is exactly what
     the left-normed bracketing of a degree-|ℓ| Lie tensor multiplies by.
     """
-    out: dict = {}
-    for key, c in x:
-        _add_scaled(out, c, _section_key(key).coeffs)
-    return LinComb._of(out)
+    return LinComb._of(_extend_linearly(lambda key: _section_key(key).coeffs, x.coeffs))
 
 
 def _key_image(key: RKey) -> dict:
@@ -123,18 +117,13 @@ def _key_image(key: RKey) -> dict:
 
 def _lie_image(y: LinComb) -> dict:
     """Image of an element in the free Lie algebra, key by key."""
-    out: dict = {}
-    for key, c in y:
-        _add_scaled(out, c, _key_image(key))
-    return out
+    return _extend_linearly(_key_image, y.coeffs)
 
 
 def _letter(key: RKey, v: int) -> dict:
-    """[key, g_v] as {key: nonzero int}."""
-    xi, u = key
-    if not xi:
-        return {((u,), v): 1}
-    return {(w, v): c for w, c in _lyndon_bracket(xi, (u,)).items()}
+    """[key, g_v] as {key: nonzero int}: (w, v) for each Lyndon word w of
+    the Lie image of key."""
+    return {(w, v): c for w, c in _key_image(key).items()}
 
 
 def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
@@ -203,10 +192,7 @@ def truncation_basis(d: int, max_deg: int) -> list[RKey]:
     """Basis keys of all degrees 1..max_deg, in (degree, word, generator) order."""
     if d < 1 or max_deg < 1:
         raise ValueError(f"generator count and cutoff must be >= 1, got d={d}, N={max_deg}")
-    keys = [((), v) for v in range(1, d + 1)]
-    for n in range(2, max_deg + 1):
-        keys.extend(graded_basis(d, n))
-    return keys
+    return [key for n in range(1, max_deg + 1) for key in graded_basis(d, n)]
 
 
 def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DEGREE) -> StructureAlgebra:

@@ -339,6 +339,24 @@ def test_oversized_requests_exit_2(capsys, command):
     assert err.startswith("error:") and f"exceeds the limit of {MAX_BASIS_SIZE}" in err
 
 
+# A count or length below 1 reaches the library, whose message names the
+# values given; the size estimate runs only on values it accepts.
+BELOW_ONE = [
+    (["lyndon", "--gens", "2", "--len", "0"], "alphabet size and length must be >= 1, got d=2, n=0"),
+    (["lyndon", "--gens", "0", "--len", "3"], "alphabet size and length must be >= 1, got d=0, n=3"),
+    (["lyndon", "--gens", "-1", "--len", "-2"], "alphabet size and length must be >= 1, got d=-1, n=-2"),
+    (["ronco-truncate", "--gens", "0", "--max", "2"], "generator count and cutoff must be >= 1, got d=0, N=2"),
+    (["ronco-truncate", "--gens", "2", "--max", "0"], "generator count and cutoff must be >= 1, got d=2, N=0"),
+    (["ronco-truncate", "--gens", "-2", "--max", "-1"],
+     "generator count and cutoff must be >= 1, got d=-2, N=-1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BELOW_ONE, ids=[" ".join(argv) for argv, _ in BELOW_ONE])
+def test_counts_below_one_get_the_library_message(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_size_limit_boundary(capsys):
     # 4080 Lyndon words of length 16 on 2 letters fit; a length past the
     # limit is refused before its count is estimated.

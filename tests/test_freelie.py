@@ -215,6 +215,13 @@ def test_tensor_commutator():
     b = LinComb.basis((2,))
     assert tensor_commutator(a, b).coeffs == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
     assert tensor_commutator(a, a).is_zero()
+    # 1 and 11 commute, and so do 12 and 1212
+    assert tensor_commutator(a, LinComb.basis((1, 1))).is_zero()
+    assert tensor_commutator(LinComb.basis((1, 2)), LinComb.basis((1, 2, 1, 2))).is_zero()
+    x = LinComb([((1,), 2), ((2,), 1)])
+    y = LinComb([((1, 1), 1), ((2,), 3)])
+    # 2·[1,11] + 6·[1,2] + [2,11] + 3·[2,2]
+    assert tensor_commutator(x, y).coeffs == {(1, 2): 6, (2, 1): -6, (2, 1, 1): 1, (1, 1, 2): -1}
 
 
 def test_word_formatting():
