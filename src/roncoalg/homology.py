@@ -13,7 +13,11 @@ chains put the module factor first, so they index like the tensor square.
 
 Each functor only builds sparse chain data; three helpers do the rest.
 `_quotient` (hl1, hr0) spans the relations once and keeps the basis
-vectors off the pivot columns.  `_leibniz_complex` (hl2, h1_adjoint)
+vectors off the pivot columns; its relations are `int` vectors, read off
+the bracket table times the lcm of its denominators
+(`structure._integer_tables`), and hr0 builds x⊙[y,z] − [x,y]⊙z only for
+the basis triples whose cell [y,z] is nonzero, which span the same
+relations (see `hr0`).  `_leibniz_complex` (hl2, h1_adjoint)
 builds Loday's d(x⊗y⊗z) over the triples it is given; on a Lie algebra
 the adjoint Chevalley–Eilenberg complex is HL₂'s up to sign (see
 `h1_adjoint`).  `_homology` takes the outgoing boundary ∂ as sparse
@@ -39,7 +43,7 @@ from .errors import InternalError, RoncoError
 from .lincomb import Record, _add_scaled, _extend_linearly
 # MAX_DENSE_ENTRIES stays importable from here; the budget is read in linalg
 from .linalg import MAX_DENSE_ENTRIES, SpanBuilder, _check_dense, _dense, _span
-from .structure import StructureAlgebra, _require_ok, basis_vector, verify_variety
+from .structure import _EMPTY, StructureAlgebra, _integer_tables, _require_ok, basis_vector, verify_variety
 
 
 class HomologyReport(Record):
@@ -70,7 +74,7 @@ def _invariant(holds: bool, message: str):
 
 
 def _quotient(op: str, ambient: int, relations: Iterable[dict]) -> HomologyReport:
-    """The ambient space modulo the span of the relations."""
+    """The ambient space modulo the span of the relations (sparse `int` vectors)."""
     pivots = set(_span(ambient, filter(None, relations)).pivot_columns())
     _check_dense(op, "representatives", ambient - len(pivots), ambient)
     reps = tuple(basis_vector(ambient, i) for i in range(ambient) if i not in pivots)
@@ -103,7 +107,8 @@ def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> Homol
 def hl1(a: StructureAlgebra) -> HomologyReport:
     """Abelianization 𝔤/[𝔤,𝔤]; representatives are surviving basis vectors."""
     _require(a, "leibniz", "hl1", a.dim)
-    return _quotient("hl1", a.dim, a.bracket.values())
+    _, (table,) = _integer_tables(a.bracket)
+    return _quotient("hl1", a.dim, table.values())
 
 
 def _leibniz_complex(op: str, a: StructureAlgebra, triples: Iterable[tuple]) -> HomologyReport:
@@ -130,21 +135,36 @@ def hl2(a: StructureAlgebra) -> HomologyReport:
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
-    """Symmetric square modulo x⊙[y,z] = [x,y]⊙z."""
-    _require(a, "lie", "hr0", a.dim * (a.dim + 1) // 2)
+    """Symmetric square modulo x⊙[y,z] = [x,y]⊙z.
+
+    The relations R(i,j,k) = e_i⊙[e_j,e_k] − [e_i,e_j]⊙e_k are built only
+    for the triples whose cell (j,k) is nonzero, i outer and the cells
+    sorted, from the bracket table times the lcm of its denominators, so
+    they are `int` vectors.  The skipped ones lie in the span of the kept:
+    for any bilinear bracket R(i,j,k) + R(k,i,j) + R(j,k,i) = 0, as ⊙ is
+    commutative.  If [e_j,e_k] = 0, then R(i,j,k) = −[e_i,e_j]⊙e_k, which
+    is zero when [e_i,e_j] = 0; otherwise R(k,i,j) is kept, and
+    R(j,k,i) = e_j⊙[e_k,e_i] is zero or kept, so R(i,j,k) is minus the sum
+    of two relations that are kept or zero.  The span is therefore that of
+    all n³ relations, and `_quotient` reads only its pivot columns, which
+    neither a common scale nor the order of the relations changes.
+    """
     n = a.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pair: t for t, pair in enumerate(pairs)}
+    size = n * (n + 1) // 2
+    _require(a, "lie", "hr0", size)
+    sym = [[0] * n for _ in range(n)]  # sym[p][q]: the index of e_p⊙e_q, keys p ≤ q in order
+    for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        sym[p][q] = sym[q][p] = t
+    _, (table,) = _integer_tables(a.bracket)
+    cells = sorted(table.items())
 
-    def sym(p: int, q: int) -> int:
-        return index[(p, q) if p <= q else (q, p)]
-
-    def relation(i: int, j: int, k: int) -> dict:
-        col = {sym(i, m): c for m, c in a.cell(j, k).items()}
-        _add_scaled(col, -1, {sym(m, k): c for m, c in a.cell(i, j).items()})
+    def relation(i: int, k: int, cell: dict, left: dict) -> dict:
+        col = {sym[i][m]: c for m, c in cell.items()}
+        _add_scaled(col, -1, {sym[m][k]: c for m, c in left.items()})
         return col
 
-    return _quotient("hr0", len(pairs), (relation(i, j, k) for i, j, k in product(range(n), repeat=3)))
+    return _quotient("hr0", size, (relation(i, k, cell, table.get((i, j), _EMPTY))
+                                   for i in range(n) for (j, k), cell in cells))
 
 
 def h1_adjoint(a: StructureAlgebra) -> HomologyReport:

@@ -177,6 +177,8 @@ def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) ->
     """
     if n < 2:
         raise ValueError(f"the kernel lives in degrees >= 2, got n={n}")
+    if d < 1:
+        raise ValueError(f"generator count must be >= 1, got d={d}")
     _check_degree("degree", n, max_degree)
     keys = graded_basis(d, n)
     rows: dict = {}  # Lyndon word of degree n -> {column j: coefficient of it in [ξ_j, g_v_j]}

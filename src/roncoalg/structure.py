@@ -14,7 +14,7 @@ monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; a variety is
 a list of rows in `_VARIETY_GROUPS`.  One evaluator visits only the index
 tuples that a nonzero value reaches, so the cost follows the nonzero cells,
 not dim³.  It computes in `int`s on the tables times D, the lcm of all their
-denominators, and builds every composite such as [[e_x,e_y],e_z] once per
+denominators (`_integer_tables`, which `homology` uses too), and builds every composite such as [[e_x,e_y],e_z] once per
 call, shared by all rows and all permuted tuples.  A row is all cells or all
 nested monomials, so its sum is D or D² times the true value; a violation's
 residual is that sum divided back, the exact tuple of Fractions.  The
@@ -213,6 +213,14 @@ _MU_GROUPS = [
 ]
 
 
+def _integer_tables(*tables: dict) -> tuple[int, list[dict]]:
+    """(D, the tables times D), D the lcm of every denominator in all of them,
+    so that every value is an `int`; D is 1 when there are no values."""
+    scale = math.lcm(*{v.denominator for table in tables for cell in table.values() for v in cell.values()})
+    return scale, [{key: {k: v.numerator * (scale // v.denominator) for k, v in cell.items()}
+                    for key, cell in table.items()} for table in tables]
+
+
 def _composites(tables: dict, partners: dict, shape: str, outer: str, inner: str) -> dict:
     """{(x, y, z): value} for every nonzero o(x,t(y,z)) ("left") or o(t(x,y),z) ("right")."""
     out: dict = {}
@@ -234,10 +242,8 @@ def _check(variety: str, dim: int, tables: dict, groups: list) -> VerificationRe
     The tuples are visited in lexicographic order, so the violations come
     out as a loop over all basis tuples would list them.
     """
-    scale = math.lcm(*{v.denominator for table in tables.values() for cell in table.values()
-                       for v in cell.values()})
-    tables = {name: {key: {k: v.numerator * (scale // v.denominator) for k, v in cell.items()}
-                     for key, cell in table.items()} for name, table in tables.items()}
+    scale, scaled = _integer_tables(*tables.values())
+    tables = dict(zip(tables, scaled))
     partners: dict = {}  # (table, 0, m) -> [a : (a, m) nonzero], (table, 1, m) -> [c : (m, c) nonzero]
     for name, table in tables.items():
         for a, c in table:

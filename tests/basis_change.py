@@ -3,6 +3,7 @@ coefficients of large height, and the benchmark's seeded inputs, shared by
 the property tests."""
 
 import importlib.util
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -61,6 +62,26 @@ def change_basis(a: StructureAlgebra, p: list[list[Fraction]]) -> StructureAlgeb
             w = bracket_eval(a, columns[x], columns[y])
             table[(x, y)] = {k: sum(p_inv[k][m] * w[m] for m in range(n)) for k in range(n)}
     return StructureAlgebra(n, table)
+
+
+def signed_permutation_and_scaling(a: StructureAlgebra, seed: int, numerators, denominators) -> StructureAlgebra:
+    """`a` in the basis e'_x = s_x·e_π(x), as the benchmark's `change_basis`
+    builds it: π and each s_x = ±p/q (p from `numerators`, q from
+    `denominators`) drawn from `random.Random(seed)`.  It keeps every zero
+    cell zero, unlike a GL_n(ℚ) change of basis, which fills the table."""
+    rng = random.Random(seed)
+    perm = list(range(a.dim))
+    rng.shuffle(perm)
+    inv = [0] * a.dim
+    for x, p in enumerate(perm):
+        inv[p] = x
+    scale = [Fraction(rng.choice(numerators), rng.choice(denominators)) * rng.choice((1, -1))
+             for _ in range(a.dim)]
+    table = {}
+    for (i, j), cell in a.bracket.items():
+        x, y = inv[i], inv[j]
+        table[(x, y)] = {inv[k]: scale[x] * scale[y] * v / scale[inv[k]] for k, v in cell.items()}
+    return StructureAlgebra(a.dim, table)
 
 
 def perfbench_workloads():

@@ -297,6 +297,18 @@ def test_empty_large_algebra_is_instant(tmp_path):
         assert (result.returncode, result.stdout) == (0, expected), argv
 
 
+def test_hr0_of_empty_large_algebra_is_refused_at_once(tmp_path):
+    # hr0 builds relations only from nonzero cells, so the dense budget
+    # refuses the 5050 representatives before any relation is spanned
+    big = tmp_path / "big.json"
+    big.write_text('{"dim": 100, "kind": "leibniz", "bracket": []}')
+    result = subprocess.run([sys.executable, "-m", "roncoalg", "homology", "--which", "hr0", str(big)],
+                            capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: hr0: 5050 representatives of length 5050 (25502500 entries) "
+               "exceed the limit of 2000000\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -349,6 +361,9 @@ BELOW_ONE = [
     (["ronco-truncate", "--gens", "2", "--max", "0"], "generator count and cutoff must be >= 1, got d=2, N=0"),
     (["ronco-truncate", "--gens", "-2", "--max", "-1"],
      "generator count and cutoff must be >= 1, got d=-2, N=-1"),
+    (["graded-kernel", "--gens", "2", "--deg", "0"], "the kernel lives in degrees >= 2, got n=0"),
+    (["graded-kernel", "--gens", "0", "--deg", "3"], "generator count must be >= 1, got d=0"),
+    (["graded-kernel", "--gens", "-1", "--deg", "3"], "generator count must be >= 1, got d=-1"),
 ]
 
 

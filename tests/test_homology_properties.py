@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homology_oracle as oracle
-from basis_change import change_basis, invertible
+from basis_change import change_basis, invertible, signed_permutation_and_scaling
 from roncoalg.errors import NotInVarietyError
 from roncoalg.homology import h1_adjoint, hl1, hl2, hr0
 from roncoalg.ronco import truncate_to_structure
@@ -20,7 +20,9 @@ from roncoalg.structure import (
     abelian,
     cross_product,
     direct_sum,
+    _integer_tables,
     free_nil2,
+    lie_quotient,
     ronco_to_mu,
     verify_mu,
     verify_variety,
@@ -70,6 +72,34 @@ def test_reports_match_oracle_after_change_of_basis(case):
     adjoint = report_or_error(h1_adjoint, a)
     if adjoint is not NotInVarietyError:
         assert adjoint == hl2(a)
+
+
+# Sparse Lie algebras.  A GL_n(ℚ) change of basis makes every table dense,
+# so only these, in signed-permutation-and-scaling bases, have zero cells
+# [e_j,e_k] whose hr0 relations are skipped.
+SPARSE_LIE = (
+    lambda: direct_sum(free_nil2(2), abelian(2)),
+    lambda: direct_sum(free_nil2(3), abelian(1)),
+    lambda: direct_sum(free_nil2(4), abelian(3)),
+    lambda: direct_sum(cross_product(), abelian(1)),
+    lambda: direct_sum(cross_product(), abelian(4)),
+    lambda: lie_quotient(truncate_to_structure(2, 4)),
+    lambda: lie_quotient(truncate_to_structure(4, 2)),
+)
+# Mersenne primes past 2⁶⁴: every entry of a scaled table keeps one of them
+# in its denominator, so hr0 and hl1 span integers of several machine words
+PRIME_DENOMINATORS = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+@pytest.mark.parametrize("index", range(len(SPARSE_LIE)))
+def test_hr0_and_hl1_match_oracle_on_sparse_lie_algebras(index):
+    a = SPARSE_LIE[index]()
+    for seed in range(12):
+        b = signed_permutation_and_scaling(a, seed, (1, 2, 3, 5), PRIME_DENOMINATORS)
+        assert _integer_tables(b.bracket)[0] > 2**64
+        assert len(b.bracket) == len(a.bracket) < a.dim * a.dim
+        assert hr0(b) == oracle.hr0(b), seed
+        assert hl1(b) == oracle.hl1(b), seed
 
 
 @settings(max_examples=60, deadline=None)

@@ -171,6 +171,19 @@ def test_graded_kernel_argument_errors():
         graded_kernel_basis(2, 9)
 
 
+@pytest.mark.parametrize("d, n, message", [
+    (2, 0, "the kernel lives in degrees >= 2, got n=0"),
+    (0, 3, "generator count must be >= 1, got d=0"),
+    (-1, 3, "generator count must be >= 1, got d=-1"),
+    # the generator count is refused before the degree cap
+    (0, 9, "generator count must be >= 1, got d=0"),
+])
+def test_graded_kernel_refusals_name_the_arguments_given(d, n, message):
+    with pytest.raises(ValueError) as exc:
+        graded_kernel_basis(d, n)
+    assert str(exc.value) == message
+
+
 def test_element_degree_and_format():
     x = LinComb.basis(((), 2)) + LinComb.basis(((1, 2), 1))
     assert element_degree(x) == 3

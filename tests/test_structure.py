@@ -14,6 +14,7 @@ from roncoalg.structure import (
     MuAlgebra,
     StructureAlgebra,
     Violation,
+    _integer_tables,
     abelian,
     ann_subspace,
     basis_vector,
@@ -345,3 +346,16 @@ def test_dense_residuals_limit_boundary(monkeypatch):
     assert len(verify_variety(diagonal(3), "lie").violations) == 6
     with pytest.raises(RoncoError, match=r"^verify lie: 8 residuals of length 4 \(32 entries\) exceed the limit of 18$"):
         verify_variety(diagonal(4), "lie")
+
+
+def test_integer_tables_scale_by_the_lcm_of_all_denominators():
+    first = {(0, 1): {0: Fraction(1, 6), 2: Fraction(-3, 4)}, (1, 0): {1: Fraction(5)}}
+    second = {(2, 2): {0: Fraction(7, 10)}}
+    scale, scaled = _integer_tables(first, second)
+    assert scale == 60  # lcm(6, 4, 1, 10), over both tables
+    assert scaled == [{(0, 1): {0: 10, 2: -45}, (1, 0): {1: 300}}, {(2, 2): {0: 42}}]
+    for table, ints in zip((first, second), scaled):
+        for key, cell in table.items():
+            assert all(type(v) is int and v == cell[k] * scale for k, v in ints[key].items())
+    assert _integer_tables({}) == (1, [{}])
+    assert _integer_tables(free_nil2(3).bracket)[0] == 1
