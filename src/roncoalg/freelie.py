@@ -9,15 +9,12 @@ one cache entry per pair of words; `lie_bracket` and the left-normed
 bracketing of words (one letter at a time) are built on it.  Maps on
 words reach elements through `lincomb._extend_linearly`.
 
-Lie elements also act from the right on other free algebras.  In any right
-Leibniz algebra [x,[y,z]] = [[x,y],z] − [[x,z],y], so right multiplication
-kills squares and [x, y] depends on y only through its image in the free
-Lie algebra.  `right_action` is that action on one basis key: a module
-supplies only the action of a generator, ``letter(key, v) = [key, g_v]``,
-and a Lyndon word ℓ = ℓ₁ℓ₂ (standard factorization) acts by
-R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂.  `act` sums these over the keys of an
-element and the Lyndon words of a Lie element; the free Leibniz bracket
-and the bracket of the free square-identity algebra are both built on it.
+Lie elements also act from the right on the other free algebras.  In any
+right Leibniz algebra [x,[y,z]] = [[x,y],z] − [[x,z],y], so right
+multiplication kills squares and [x, y] depends on y only through its image
+in the free Lie algebra: a Lyndon word ℓ = ℓ₁ℓ₂ (standard factorization)
+acts by R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂.  `leibniz` and `ronco` each solve that
+recursion in closed form for their own generator rule.
 
 The tensor algebra, where ``[a, b] = a⊗b - b⊗a``, serves only the
 embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon` and the
@@ -274,31 +271,3 @@ def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) ->
         for v, cv in y:
             _add_scaled(out, cu * cv, _lyndon_bracket(u, v))
     return LinComb._of(out)
-
-
-@cache
-def right_action(letter, key, word: Word) -> dict:
-    """R_ℓ(key) = [key, ℓ] for the Lie basis element of the Lyndon word ℓ.
-
-    `letter(key, v)` returns [key, g_v] as {key: nonzero int}.  The result
-    is in the same form, shared through the cache; callers must not mutate
-    it.
-    """
-    if len(word) == 1:
-        return letter(key, word[0])
-    first, second = standard_factorization(word)
-    out = act(letter, right_action(letter, key, first), {second: 1})
-    _add_scaled(out, -1, act(letter, right_action(letter, key, second), {first: 1}))
-    return out
-
-
-def act(letter, x: dict, lie: dict) -> dict:
-    """Σ c·c′·R_ℓ(key) over the keys of x and the Lyndon words ℓ of lie.
-
-    Both are sparse {key: coefficient} dicts; so is the result, [x, lie].
-    """
-    out: dict = {}
-    for word, cw in lie.items():
-        for key, cx in x.items():
-            _add_scaled(out, cx * cw, right_action(letter, key, word))
-    return out

@@ -88,15 +88,47 @@ class Record:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _of(cls, *values):
-        """Adopt `values` as the fields, in order, without copying them and
-        without the checks of the subclass's `__init__`: the caller has
-        built them in the form those checks would give."""
-        out = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, values, strict=True):
-            object.__setattr__(out, name, value)
-        return out
+    def __init_subclass__(cls, **kwargs):
+        """Give each record class its `_of(*values)`: adopt `values` as the
+        fields, in order, without copying them and without the checks of
+        the subclass's `__init__`; the caller has built them in the form
+        those checks would give.  It writes each field through its slot
+        descriptor, one call per field, with no loop for one to three
+        fields: the term parser builds a node per bracket, scalar and leaf."""
+        super().__init_subclass__(**kwargs)
+        new = object.__new__
+        setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if len(setters) == 1:
+            (s0,) = setters
+
+            def _of(a):
+                out = new(cls)
+                s0(out, a)
+                return out
+        elif len(setters) == 2:
+            s0, s1 = setters
+
+            def _of(a, b):
+                out = new(cls)
+                s0(out, a)
+                s1(out, b)
+                return out
+        elif len(setters) == 3:
+            s0, s1, s2 = setters
+
+            def _of(a, b, c):
+                out = new(cls)
+                s0(out, a)
+                s1(out, b)
+                s2(out, c)
+                return out
+        else:
+            def _of(*values):
+                out = new(cls)
+                for setter, value in zip(setters, values, strict=True):
+                    setter(out, value)
+                return out
+        cls._of = staticmethod(_of)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

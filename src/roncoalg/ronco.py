@@ -6,12 +6,20 @@ n >= 2 is (free Lie of degree n-1) ⊗ (generators).  Basis keys are pairs
 ``(lyndon_word, v)`` with ``lyndon_word = ()`` marking degree 1, so the
 degree of a key is always ``len(lyndon_word) + 1``.
 
-The bracket is computed on these keys, with integer coefficients.  Right
+The bracket is computed on these keys, with integer coefficients, through
+the Lie quotient φ, where (ℓ, v) ↦ [ℓ, g_v] and ((), v) ↦ g_v.  Right
 multiplication kills squares in any Leibniz algebra, so [x, y] depends on
-y only through its image in the free Lie algebra, where (ℓ, v) ↦ [ℓ, g_v]
-and ((), v) ↦ g_v.  That image acts on the keys of x by the right action
-of `freelie.act`; this module supplies only the action of a generator,
-[ξ⊗u, g_v] = [ξ, u]_Lie ⊗ v and [g_u, g_v] = (u)⊗v.
+y only through φy, and a Lyndon word ℓ = ℓ₁ℓ₂ (standard factorization)
+acts by R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂.  A generator acts through φ as well:
+[X, g_v] = φ(X)⊗v.  φ is an algebra map, so by induction on ℓ,
+R_ℓ(X) = Ψ(φX, ℓ), with Ψ linear in its first slot and
+
+    Ψ(ζ, v) = ζ⊗v,    Ψ(ζ, ℓ₁ℓ₂) = Ψ([ζ,ℓ₁], ℓ₂) − Ψ([ζ,ℓ₂], ℓ₁).
+
+So [x, y] depends on x, too, only through φx: the kernel of φ annihilates
+the algebra from both sides, [k, y] = 0 = [y, k].  `_image_bracket` is Ψ
+on a pair of Lyndon words, and the bracket sums it over the Lyndon words
+of φx and φy.
 
 The same bracket is the composite through the free Leibniz algebra:
 `section` embeds into tensor words, `leib_bracket` multiplies there, and
@@ -39,12 +47,12 @@ from .freelie import (
     _left_normed_word,
     _lyndon_bracket,
     _require_lyndon,
-    act,
     format_word,
     lyndon_words,
+    standard_factorization,
     witt_dim,
 )
-from .lincomb import LinComb, _extend_linearly
+from .lincomb import LinComb, _add_scaled, _extend_linearly
 from .linalg import _span
 from .structure import StructureAlgebra
 from . import terms
@@ -120,23 +128,39 @@ def _lie_image(y: LinComb) -> dict:
     return _extend_linearly(_key_image, y.coeffs)
 
 
-def _letter(key: RKey, v: int) -> dict:
-    """[key, g_v] as {key: nonzero int}: (w, v) for each Lyndon word w of
-    the Lie image of key."""
-    return {(w, v): c for w, c in _key_image(key).items()}
+@cache
+def _image_bracket(w: Word, word: Word) -> dict:
+    """Ψ(w, ℓ) = [X, ℓ] for any X whose Lie image is the Lyndon word w, with
+    ℓ = `word`, as {key: nonzero int}: (w, v) for a letter ℓ = v, else
+    Ψ([w,ℓ₁], ℓ₂) + Ψ([ℓ₂,w], ℓ₁) for ℓ = ℓ₁ℓ₂.  Shared, do not mutate."""
+    if len(word) == 1:
+        return {(w, word[0]): 1}
+    first, second = standard_factorization(word)
+    out = _extend_linearly(lambda u: _image_bracket(u, second), _lyndon_bracket(w, first))
+    return _extend_linearly(lambda u: _image_bracket(u, first), _lyndon_bracket(second, w), out)
+
+
+def _bracket_images(zx: dict, zy: dict) -> dict:
+    """Σ c·c′·Ψ(w, ℓ) over the Lyndon words w of zx and ℓ of zy: the bracket
+    of any two elements whose Lie images are zx and zy."""
+    out: dict = {}
+    for word, cy in zy.items():
+        for w, cx in zx.items():
+            _add_scaled(out, cx * cy, _image_bracket(w, word))
+    return out
 
 
 def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
     """Bracket of two elements in (lyndon_word, generator) coordinates.
 
-    The Lie image of y acts on the keys of x by `freelie.act`; the result
-    equals project(leib_bracket(section(x), section(y))).
+    Reads x and y only through their Lie images (module docstring); the
+    result equals project(leib_bracket(section(x), section(y))).
     """
     if x.is_zero() or y.is_zero():
         return LinComb.zero()
     _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
     _require_lyndon([word for xy in (x, y) for word, _ in xy.keys() if word])
-    return LinComb._of(act(_letter, x.coeffs, _lie_image(y)))
+    return LinComb._of(_bracket_images(_lie_image(x), _lie_image(y)))
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
@@ -207,13 +231,13 @@ def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DE
     _check_degree("cutoff", max_deg, max_degree)
     keys = truncation_basis(d, max_deg)
     degrees = [key_degree(key) for key in keys]
-    images = [_key_image(key) for key in keys]  # int images keep `act` in int arithmetic
+    images = [_key_image(key) for key in keys]  # int images keep the brackets in int arithmetic
     index = {key: i for i, key in enumerate(keys)}
     bracket: dict = {}
-    for i, ki in enumerate(keys):
-        # the keys are sorted by degree, so those that fit beside ki are a prefix
+    for i, zi in enumerate(images):
+        # the keys are sorted by degree, so those that fit beside keys[i] are a prefix
         for j in range(bisect_right(degrees, max_deg - degrees[i])):
-            z = act(_letter, {ki: 1}, images[j])  # Lyndon keys, degree ≤ cutoff ≤ cap: no checks
+            z = _bracket_images(zi, images[j])  # Lyndon keys, degree ≤ cutoff ≤ cap: no checks
             if z:
                 bracket[(i, j)] = {index[key]: c for key, c in z.items()}
     return StructureAlgebra(len(keys), bracket)

@@ -21,15 +21,27 @@ composite shares only `_lyndon_bracket` with the direct bracket, and
 bracket, and `truncate_to_structure` brackets every pair of truncation
 basis keys with the oracle `ronco_bracket`, skipping those above the
 cutoff.  None of them has a degree cap.
+
+The right action of the free Lie algebra, which the free Leibniz and 𝒱
+brackets once shared, is kept as a second oracle for them: `right_action`
+applies a Lyndon word ℓ = ℓ₁ℓ₂ to one basis key as R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂,
+from a module's generator rule `letter(key, v) = [key, g_v]` (`_append`
+for words, `_letter` for 𝒱 keys), and `act` sums it over the keys of an
+element and the Lyndon words of a Lie element.  It acts on every key of
+the left factor, so it does not use that the bracket reads the left factor
+only through its Lie image.  `right_action_leib_bracket`,
+`right_action_ronco_bracket` and `right_action_truncation` are the three
+former package paths built on it.
 """
 
 from functools import cache
 
 from roncoalg.errors import InternalError, NotLieElementError
 from roncoalg.freelie import format_word, is_lyndon, lyndon_words, tensor_commutator, word_sort_key
+from roncoalg.freelie import left_normed_bracketing as lyndon_left_normed_bracketing
 from roncoalg.linalg import SparseMatrix, rank_and_kernel
 from roncoalg.lincomb import LinComb, _add_scaled
-from roncoalg.ronco import graded_basis, key_degree, project, truncation_basis
+from roncoalg.ronco import _key_image, _lie_image, graded_basis, key_degree, project, truncation_basis
 from roncoalg.structure import StructureAlgebra
 
 
@@ -165,4 +177,60 @@ def truncate_to_structure(d: int, max_deg: int) -> StructureAlgebra:
             z = ronco_bracket(LinComb.basis(ki), LinComb.basis(kj))
             if z:
                 bracket[(i, j)] = {index[key]: c for key, c in z}
+    return StructureAlgebra(len(keys), bracket)
+
+
+@cache
+def right_action(letter, key, word: tuple) -> dict:
+    """R_ℓ(key) = [key, ℓ] for the Lie basis element of the Lyndon word ℓ,
+    as {key: nonzero int}; shared, never mutated."""
+    if len(word) == 1:
+        return letter(key, word[0])
+    first, second = standard_factorization(word)
+    out = act(letter, right_action(letter, key, first), {second: 1})
+    _add_scaled(out, -1, act(letter, right_action(letter, key, second), {first: 1}))
+    return out
+
+
+def act(letter, x: dict, lie: dict) -> dict:
+    """Σ c·c′·R_ℓ(key) over the keys of x and the Lyndon words ℓ of lie."""
+    out: dict = {}
+    for word, cw in lie.items():
+        for key, cx in x.items():
+            _add_scaled(out, cx * cw, right_action(letter, key, word))
+    return out
+
+
+def _append(word: tuple, v: int) -> dict:
+    """[w, g_v] in the free Leibniz algebra."""
+    return {word + (v,): 1}
+
+
+def _letter(key: tuple, v: int) -> dict:
+    """[key, g_v] in 𝒱: (w, v) for each Lyndon word w of the key's Lie image."""
+    return {(w, v): c for w, c in _key_image(key).items()}
+
+
+def right_action_leib_bracket(x: LinComb, y: LinComb) -> LinComb:
+    """The Lyndon coordinates of y act on every word of x."""
+    return LinComb._of(act(_append, x.coeffs, lyndon_left_normed_bracketing(y).coeffs))
+
+
+def right_action_ronco_bracket(x: LinComb, y: LinComb) -> LinComb:
+    """The Lie image of y acts on every key of x."""
+    return LinComb._of(act(_letter, x.coeffs, _lie_image(y)))
+
+
+def right_action_truncation(d: int, max_deg: int) -> StructureAlgebra:
+    """`truncate_to_structure` with each cell bracketed by `act`."""
+    keys = truncation_basis(d, max_deg)
+    index = {key: i for i, key in enumerate(keys)}
+    bracket: dict = {}
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if key_degree(ki) + key_degree(kj) > max_deg:
+                continue
+            z = act(_letter, {ki: 1}, _key_image(kj))
+            if z:
+                bracket[(i, j)] = {index[key]: c for key, c in z.items()}
     return StructureAlgebra(len(keys), bracket)

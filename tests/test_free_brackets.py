@@ -2,7 +2,15 @@
 and (Lyndon word, generator) coordinates, and the free Leibniz bracket on
 words, compared with the tensor-algebra composites, word recursion and
 all-pairs loop kept in `free_oracle`, plus the identities the free
-square-identity algebra must satisfy."""
+square-identity algebra must satisfy.
+
+The free Leibniz and 𝒱 brackets read both factors through their Lie
+images; they are also compared with the right action of the free Lie
+algebra on every basis key of the left factor (`free_oracle.act`), the
+path they replaced, and the identities behind them are checked directly:
+the kernel of the Lie quotient annihilates 𝒱 from both sides, and the
+tensor image of a left-normed word is the expansion of its Lyndon
+coordinates."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,14 +20,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import free_oracle as oracle
+from roncoalg import terms
 from roncoalg.freelie import (
+    expand_to_tensor,
     is_lyndon,
     left_normed_bracketing,
     lie_bracket,
     lyndon_words,
     standard_factorization,
 )
-from roncoalg.leibniz import leib_bracket
+from roncoalg.leibniz import _left_normed_tensor, leib_bracket, leib_generator
 from roncoalg.linalg import _span
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import (
@@ -261,3 +271,81 @@ def test_random_elements_satisfy_the_square_and_leibniz_identities(data):
     lhs = ronco_bracket(x, ronco_bracket(y, z))
     rhs = ronco_bracket(ronco_bracket(x, y), z) - ronco_bracket(ronco_bracket(x, z), y)
     assert lhs == rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ronco_bracket_matches_the_right_action(data):
+    d = data.draw(st.integers(2, 4))
+    deg_x = data.draw(st.integers(1, MAX_DEGREE - 1))
+    x = data.draw(ronco_elements(d, deg_x))
+    y = data.draw(ronco_elements(d, MAX_DEGREE - deg_x))
+    assert ronco_bracket(x, y) == oracle.right_action_ronco_bracket(x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_leib_bracket_matches_the_right_action(data):
+    d = data.draw(st.integers(2, 4))
+    deg_x = data.draw(st.integers(1, MAX_DEGREE - 1))
+    x = data.draw(word_elements(d, deg_x))
+    y = data.draw(word_elements(d, MAX_DEGREE - deg_x))
+    assert leib_bracket(x, y) == oracle.right_action_leib_bracket(x, y)
+
+
+# Degree-10 terms on 3 generators, past the default cap: right-normed,
+# left-normed, and a balanced shape with scalars, a sum and a difference.
+DEGREE_10_TERMS = [
+    "[g1,[g2,[g3,[g1,[g2,[g3,[g1,[g2,[g3,g1]]]]]]]]]",
+    "[[[[[[[[[g1,g2],g3],g1],g2],g3],g1],g2],g3],g2]",
+    "[[2*[g1,g2] - [g3,g1],[[g2,g3],g1]],[3/2*[[g1,g3],g2],[g2,g1] + [g3,g2]]]",
+]
+
+
+@pytest.mark.parametrize("text", DEGREE_10_TERMS)
+def test_degree_10_terms_match_the_right_action(text):
+    term = terms.parse_term(text)
+    got = terms._evaluate_on(term, 3, ronco_generator, lambda a, b: ronco_bracket(a, b, max_degree=10))
+    assert got == terms._evaluate_on(term, 3, ronco_generator, oracle.right_action_ronco_bracket)
+    assert not got.is_zero()
+    got = terms._evaluate_on(term, 3, leib_generator, lambda a, b: leib_bracket(a, b, max_degree=10))
+    assert got == terms._evaluate_on(term, 3, leib_generator, oracle.right_action_leib_bracket)
+    assert not got.is_zero()
+
+
+@pytest.mark.parametrize("d, top", [(2, 6), (3, 4), (4, 2)])
+def test_truncation_matches_the_right_action(d, top):
+    # same cells in the same insertion order, hence the same JSON bytes
+    got, want = truncate_to_structure(d, top), oracle.right_action_truncation(d, top)
+    assert list(got.bracket.items()) == list(want.bracket.items())
+
+
+KERNEL_DEGREES = [(2, n) for n in range(2, 8)] + [(3, n) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("d, n", KERNEL_DEGREES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_the_lie_kernel_annihilates_from_both_sides(d, n, data):
+    x = data.draw(ronco_elements(d, n))
+    y = data.draw(ronco_elements(d, 3))
+    cap = n + 3
+    for k in graded_kernel_basis(d, n):
+        assert ronco_bracket(k, y, cap).is_zero()
+        assert ronco_bracket(y, k, cap).is_zero()
+        assert ronco_bracket(x + k, y, cap) == ronco_bracket(x, y, cap)
+
+
+def test_left_normed_tensor_is_the_expanded_left_normed_bracketing():
+    for length in range(1, 8):
+        for word in product(range(1, 4), repeat=length):
+            want = expand_to_tensor(left_normed_bracketing(LinComb.basis(word)))
+            assert LinComb(_left_normed_tensor(word)) == want, word
+
+
+def test_leib_bracket_refuses_the_empty_word_on_the_right():
+    # T would recurse without end on the empty word
+    g1 = leib_generator(1)
+    for y in (LinComb.basis(()), LinComb.basis(()) + g1):
+        with pytest.raises(ValueError, match="^the empty word has no left-normed bracketing$"):
+            leib_bracket(g1, y)

@@ -13,6 +13,7 @@ import pytest
 
 from roncoalg.homology import HomologyReport
 from roncoalg.linalg import SparseMatrix
+from roncoalg.lincomb import Record
 from roncoalg.structure import MuAlgebra, StructureAlgebra, VerificationReport, Violation
 from roncoalg.terms import Bracket, Diff, Generator, Scale, Sum
 
@@ -116,3 +117,30 @@ def test_defaults_and_validation():
         Generator()
     with pytest.raises(TypeError):
         HomologyReport(1)
+
+
+@pytest.mark.parametrize("cls, values, hashable", CASES, ids=IDS)
+def test_of_adopts_the_given_fields(cls, values, hashable):
+    x = cls._of(*values)
+    assert type(x) is cls and x == cls(*values)
+    assert all(getattr(x, name) is value for name, value in zip(cls.__slots__, values))
+    with pytest.raises(AttributeError):
+        setattr(x, cls.__slots__[0], values[0])
+
+
+def test_of_skips_the_constructor_checks():
+    # index 1 is out of range for dim 1, which the constructor refuses
+    table = {(1, 1): {0: HALF}}
+    with pytest.raises(ValueError):
+        StructureAlgebra(1, table)
+    assert StructureAlgebra._of(1, table).bracket is table
+
+
+def test_of_for_a_record_with_more_than_three_fields():
+    class Four(Record):
+        __slots__ = ("a", "b", "c", "d")
+
+    x = Four._of(1, 2, 3, 4)
+    assert x == Four(1, 2, 3, 4) and (x.a, x.d) == (1, 4)
+    with pytest.raises(ValueError):
+        Four._of(1, 2, 3)
