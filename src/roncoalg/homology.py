@@ -58,7 +58,7 @@ class HomologyReport(Record):
 # Largest chain space a functor may build, for an algebra of dimension n: n
 # for hl1, n² for hl2 (𝔤⊗𝔤) and h1_adjoint (m⊗x), n(n+1)/2 for hr0 (Sym²𝔤).
 # It admits hl2 up to n = 100; hl2 of a dimension-99 truncation (3 generators
-# up to degree 5, chain dimension 9801) takes about 4-5 s (Python 3.11, 2 vCPUs).
+# up to degree 5, chain dimension 9801) takes about 3-3.5 s (Python 3.11, 2 vCPUs).
 MAX_CHAIN_DIM = 10_000
 
 

@@ -164,19 +164,25 @@ def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:
 # ---------------------------------------------------------------------------
 # free-algebra elements in (lyndon_word, generator) coordinates
 
-def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
-    """Degree-1 part as a dense coefficient list; higher part as sorted
-    (word-string, generator, rational-string) triples."""
+def _element_parts(x: LinComb, num_gens: int, higher) -> tuple[list, list]:
+    """The deg1 coefficient strings of an element, and `higher(key, text)`
+    of each higher-degree key and its coefficient string, in key order."""
     # every coefficient is an int or a normalized Fraction, whose str is
     # `format_rational`'s "p" or "p/q"
     deg1 = ["0"] * num_gens
-    higher = []
+    out = []
     for key, c in x.sorted_items(key=key_sort_key):
-        word, v = key
-        if not word:
-            deg1[v - 1] = str(c)
+        if key[0]:
+            out.append(higher(key, str(c)))
         else:
-            higher.append([format_word(word, num_gens), v, str(c)])
+            deg1[key[1] - 1] = str(c)
+    return deg1, out
+
+
+def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
+    """Degree-1 part as a dense coefficient list; higher part as sorted
+    (word-string, generator, rational-string) triples."""
+    deg1, higher = _element_parts(x, num_gens, lambda key, c: [format_word(key[0], num_gens), key[1], c])
     return {"deg1": deg1, "higher": higher}
 
 
@@ -187,19 +193,28 @@ def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
 _KERNEL = '{\n  "degree": %d,\n  "dimension": %d,\n  "basis": %s\n}\n'
 _ELEMENT = '\n    {\n      "deg1": %s,\n      "higher": %s\n    }'
 _DEG1 = '\n        "%s"'
-_HIGHER = '\n        [\n          "%s",\n          %d,\n          "%s"\n        ]'
+_HIGHER_KEY = '\n        [\n          "%s",\n          %d,\n          "'  # a triple up to its coefficient
+_HIGHER_END = '"\n        ]'
 
 
 def dumps_graded_kernel(degree: int, basis: Sequence[LinComb], num_gens: int) -> str:
     """The canonical JSON text of a graded-kernel basis, byte for byte what
     `dumps_canonical` prints for {"degree", "dimension", "basis"}, each
-    element given by `ronco_element_to_obj`."""
+    element given by `ronco_element_to_obj`.  The text of each key, up to
+    its coefficient, is formatted once per call."""
+    keys: dict = {}
+
+    def higher(key, c: str) -> str:
+        text = keys.get(key)
+        if text is None:
+            text = keys[key] = _HIGHER_KEY % (format_word(key[0], num_gens), key[1])
+        return text + c + _HIGHER_END
+
     elements = []
     for x in basis:
-        obj = ronco_element_to_obj(x, num_gens)
-        elements.append(_ELEMENT % (
-            _list_text([_DEG1 % c for c in obj["deg1"]], "      "),
-            _list_text([_HIGHER % tuple(triple) for triple in obj["higher"]], "      ")))
+        deg1, triples = _element_parts(x, num_gens, higher)
+        elements.append(_ELEMENT % (_list_text([_DEG1 % c for c in deg1], "      "),
+                                    _list_text(triples, "      ")))
     return _KERNEL % (degree, len(basis), _list_text(elements, "  "))
 
 

@@ -3,11 +3,12 @@
 One elimination engine serves everything: `SpanBuilder` keeps the reduced
 row echelon form (RREF) of a span over ℚ, one vector at a time.  Ranks,
 kernels and quotient dimensions are read off it.  No floating point
-anywhere: inside the builder an integral entry stays a Python `int` until
-arithmetic makes it a `Fraction`, and a float or bool input is converted to
-`Fraction` exactly; every value it hands out is a `Fraction`.  It indexes,
-per column, the rows that may hold that column, so a new pivot is
-back-substituted only into those rows.
+anywhere, and no `Fraction` arithmetic inside the builder: each RREF row is
+kept as `int` numerators over one positive `int` denominator, and a gcd is
+taken only for a row whose denominator is not 1 (see `SpanBuilder`).  Every
+value it hands out is a normalized `Fraction`.  It indexes, per column, the
+rows that may hold that column, so a new pivot is back-substituted only
+into those rows.
 
 The result is deterministic: the RREF depends only on the span, and its
 pivots are the leading columns of the row space.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import RoncoError
@@ -64,7 +66,7 @@ def _dense(dim: int, vec: dict) -> tuple[Fraction, ...]:
 # representatives of a homology report, the residuals of a verification
 # report.  A larger count raises RoncoError before any of them is built.
 # It admits hl2 of the dimension-99 truncation (3 generators up to degree 5:
-# 201 representatives of length 9801, 1,970,001 entries, about 4-5 s on
+# 201 representatives of length 9801, 1,970,001 entries, about 3-3.5 s on
 # Python 3.11, 2 vCPUs) and refuses hl1 of an empty dimension-2000 algebra
 # (4,000,000 entries), which unguarded took 10 s, 639 MB and printed 44 MB.
 MAX_DENSE_ENTRIES = 2_000_000
@@ -145,15 +147,26 @@ class SpanBuilder:
     Supports rank queries, membership tests, and a canonical (RREF) basis;
     the basis depends only on the span, not on insertion order.
 
-    Entries are kept as given when they are `int` or `Fraction`, so integral
-    rows stay in fast `int` arithmetic; any other number goes through
-    `Fraction`.  Every value handed out (`rows`, `basis`, `reduce`,
-    `kernel`) is a `Fraction`.
+    Each RREF row is kept as a dict of `int` numerators over one positive
+    `int` denominator, which is the row's own entry at its pivot.  An input
+    vector is cleared once by the lcm of its `Fraction` denominators (a
+    float or bool entry goes through `Fraction` exactly), so every step of
+    the elimination is `int` arithmetic.  A row with lead ±1 keeps
+    denominator 1 and is never divided by a gcd; a row whose denominator is
+    not 1 is divided by the gcd of its entries when it is stored and each
+    time a new row is back-substituted into it, so it is the RREF row times
+    the lcm of that row's denominators.  Every value handed out (`rows`,
+    `basis`, `reduce`, `kernel`) is a normalized `Fraction`.
+
+    Indices run over 0..dim−1; a vector with another index, or a dense
+    vector longer than `dim`, raises ValueError.
     """
 
     def __init__(self, dim: int):
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dimension must be a nonnegative int, got {dim!r}")
         self.dim = dim
-        self._rows: dict[int, dict] = {}  # pivot col -> row dict with row[pivot] == 1
+        self._rows: dict[int, dict] = {}  # pivot col -> int row over the denominator row[pivot] > 0
         # column -> pivots of the rows that may hold it: every row that does,
         # and perhaps some whose entry has since cancelled
         self._holders: dict[int, set] = {}
@@ -162,47 +175,60 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec) -> dict:
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        row = {j: v if type(v) is int or type(v) is Fraction else Fraction(v) for j, v in items if v}
+    def _reduce(self, vec) -> tuple[dict, int]:
+        """The residual of a vector as `int` numerators over one positive denominator."""
+        row, den = _integral(vec, self.dim)
+        rows = self._rows
         # Each basis row vanishes on every other pivot column, so clearing
         # the pivots present in the input clears them all, in any order.
-        for pc in [j for j in row if j in self._rows]:
-            _add_scaled(row, -row[pc], self._rows[pc])
-        return row
+        for pc in [j for j in row if j in rows]:
+            base = rows[pc]
+            a, d = row[pc], base[pc]
+            if d != 1:  # row/den − (a/den)·(base/d), over den·d/g
+                g = gcd(a, d)
+                a //= g
+                d //= g
+                row = {j: v * d for j, v in row.items()}
+                den *= d
+            _add_scaled(row, -a, base)
+        return row, den
 
     def add(self, vec) -> bool:
         """Add a vector; True iff it enlarged the span."""
-        row = self._reduce(vec)
+        row, _ = self._reduce(vec)  # a common scale changes no RREF row
         if not row:
             return False
         pc = min(row)
         lead = row[pc]
-        if lead == -1:
+        if lead < 0:
             row = {j: -v for j, v in row.items()}
-        elif lead != 1:
-            if type(lead) is int:  # int / int would be a float
-                row = {j: Fraction(v, lead) if type(v) is int else v / lead for j, v in row.items()}
-            else:
-                row = {j: v / lead for j, v in row.items()}
+        if lead != 1 and lead != -1:
+            row = _lowest_terms(row)
+        d = row[pc]
+        rows = self._rows
         # Back-substitute only into the rows listed for column pc; each of
         # them, and the new row, may then hold every column the new row holds.
         targets = self._holders.pop(pc, ())
         holding = [self._holders.setdefault(j, set()) for j in row if j != pc]
         for p in targets:
-            other = self._rows[p]
-            c = other.get(pc)
-            if c:
-                _add_scaled(other, -c, row)
+            other = rows[p]
+            a = other.get(pc)
+            if a:
+                if d != 1:  # other/e − (a/e)·(row/d), over e·d/g
+                    g = gcd(a, d)
+                    a //= g
+                    other = {j: v * (d // g) for j, v in other.items()}
+                _add_scaled(other, -a, row)
+                rows[p] = other if other[p] == 1 else _lowest_terms(other)
                 for pivots in holding:
                     pivots.add(p)
         for pivots in holding:
             pivots.add(pc)
-        self._rows[pc] = row
+        rows[pc] = row
         return True
 
     def contains(self, vec) -> bool:
-        return not self._reduce(vec)
+        return not self._reduce(vec)[0]
 
     def reduce(self, vec) -> dict:
         """Canonical residual of a vector modulo the span (sparse dict).
@@ -210,11 +236,11 @@ class SpanBuilder:
         The residual vanishes on all pivot columns, so it is supported on
         the complement; it is zero exactly when the vector lies in the span.
         """
-        return _exact(self._reduce(vec))
+        return _fractions(*self._reduce(vec))
 
     def rows(self) -> list[dict]:
         """Sparse RREF rows sorted by pivot column (fresh dicts)."""
-        return [_exact(self._rows[pc]) for pc in sorted(self._rows)]
+        return [_fractions(row, row[pc]) for pc, row in sorted(self._rows.items())]
 
     def kernel(self) -> list[dict]:
         """Sparse basis of the vectors orthogonal to the span, read off the RREF.
@@ -224,9 +250,10 @@ class SpanBuilder:
         """
         kernel = {f: {f: Fraction(1)} for f in range(self.dim) if f not in self._rows}
         for pc, row in self._rows.items():
+            d = row[pc]
             for f, v in row.items():
                 if f != pc:
-                    kernel[f][pc] = -v if type(v) is Fraction else Fraction(-v)
+                    kernel[f][pc] = Fraction(-v) if d == 1 else Fraction(-v, d)
         return list(kernel.values())
 
     def basis(self) -> list[tuple[Fraction, ...]]:
@@ -237,9 +264,43 @@ class SpanBuilder:
         return sorted(self._rows)
 
 
-def _exact(row: dict) -> dict:
-    """A copy of a sparse row with every value a Fraction."""
-    return {j: v if type(v) is Fraction else Fraction(v) for j, v in row.items()}
+_INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
+
+
+def _integral(vec, dim: int) -> tuple[dict, int]:
+    """A vector's nonzero entries as `int` numerators over the lcm of their
+    denominators, after checking its indices against `dim`."""
+    if not isinstance(vec, dict):
+        if len(vec) > dim:
+            raise ValueError(f"index {len(vec) - 1} out of range for dimension {dim}")
+        vec = dict(enumerate(vec))
+    elif vec:
+        lo, hi = min(vec), max(vec)
+        if lo < 0 or hi >= dim:
+            raise ValueError(f"index {lo if lo < 0 else hi} out of range for dimension {dim}")
+    kinds = set(map(type, vec.values()))
+    if kinds <= _INT:
+        return {j: v for j, v in vec.items() if v}, 1
+    if not kinds <= _EXACT:  # a float, a bool or another number: exactly, through Fraction
+        vec = {j: Fraction(v) for j, v in vec.items()}
+    den = lcm(*{v.denominator for v in vec.values()})
+    if den == 1:
+        return {j: n for j, v in vec.items() if (n := v.numerator)}, 1
+    return {j: n * (den // v.denominator) for j, v in vec.items() if (n := v.numerator)}, den
+
+
+def _lowest_terms(row: dict) -> dict:
+    """An `int` row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: v // g for j, v in row.items()}
+
+
+def _fractions(row: dict, den: int) -> dict:
+    """A fresh copy of an `int` row over `den`, every value a Fraction."""
+    if den == 1:
+        return {j: Fraction(v) for j, v in row.items()}
+    return {j: Fraction(v, den) for j, v in row.items()}
 
 
 def _span(dim: int, vectors: Iterable) -> SpanBuilder:

@@ -3,11 +3,14 @@
 These are the fraction-free (Bareiss) rank and kernel and the span builder
 that reduced by every pivot on every call, as `roncoalg.linalg` had them
 before all elimination moved onto the incremental reduced echelon form;
-and `FractionSpanBuilder`, that incremental engine as it was before it kept
+`FractionSpanBuilder`, that incremental engine as it was before it kept
 integral entries as `int` and indexed the rows that hold each column: it
-made every entry a `Fraction` and scanned every row for each new pivot.
-They are kept, unchanged, only so that tests can compare the current
-engine against them result for result.
+made every entry a `Fraction` and scanned every row for each new pivot;
+and `MixedSpanBuilder`, the engine as it was before its rows became `int`
+numerators over one denominator: it kept `int` and `Fraction` entries as
+given, so a non-unit lead turned the rest of the span into `Fraction`
+arithmetic.  They are kept, unchanged, only so that tests can compare the
+current engine against them result for result.
 """
 
 from __future__ import annotations
@@ -260,3 +263,106 @@ class FractionSpanBuilder:
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._rows)
+
+
+class MixedSpanBuilder:
+    """Incrementally maintained reduced echelon basis of a span of vectors.
+
+    Supports rank queries, membership tests, and a canonical (RREF) basis;
+    the basis depends only on the span, not on insertion order.
+
+    Entries are kept as given when they are `int` or `Fraction`, so integral
+    rows stay in fast `int` arithmetic; any other number goes through
+    `Fraction`.  Every value handed out (`rows`, `basis`, `reduce`,
+    `kernel`) is a `Fraction`.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._rows: dict[int, dict] = {}  # pivot col -> row dict with row[pivot] == 1
+        # column -> pivots of the rows that may hold it: every row that does,
+        # and perhaps some whose entry has since cancelled
+        self._holders: dict[int, set] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec) -> dict:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        row = {j: v if type(v) is int or type(v) is Fraction else Fraction(v) for j, v in items if v}
+        # Each basis row vanishes on every other pivot column, so clearing
+        # the pivots present in the input clears them all, in any order.
+        for pc in [j for j in row if j in self._rows]:
+            _add_scaled(row, -row[pc], self._rows[pc])
+        return row
+
+    def add(self, vec) -> bool:
+        """Add a vector; True iff it enlarged the span."""
+        row = self._reduce(vec)
+        if not row:
+            return False
+        pc = min(row)
+        lead = row[pc]
+        if lead == -1:
+            row = {j: -v for j, v in row.items()}
+        elif lead != 1:
+            if type(lead) is int:  # int / int would be a float
+                row = {j: Fraction(v, lead) if type(v) is int else v / lead for j, v in row.items()}
+            else:
+                row = {j: v / lead for j, v in row.items()}
+        # Back-substitute only into the rows listed for column pc; each of
+        # them, and the new row, may then hold every column the new row holds.
+        targets = self._holders.pop(pc, ())
+        holding = [self._holders.setdefault(j, set()) for j in row if j != pc]
+        for p in targets:
+            other = self._rows[p]
+            c = other.get(pc)
+            if c:
+                _add_scaled(other, -c, row)
+                for pivots in holding:
+                    pivots.add(p)
+        for pivots in holding:
+            pivots.add(pc)
+        self._rows[pc] = row
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    def reduce(self, vec) -> dict:
+        """Canonical residual of a vector modulo the span (sparse dict).
+
+        The residual vanishes on all pivot columns, so it is supported on
+        the complement; it is zero exactly when the vector lies in the span.
+        """
+        return _exact(self._reduce(vec))
+
+    def rows(self) -> list[dict]:
+        """Sparse RREF rows sorted by pivot column (fresh dicts)."""
+        return [_exact(self._rows[pc]) for pc in sorted(self._rows)]
+
+    def kernel(self) -> list[dict]:
+        """Sparse basis of the vectors orthogonal to the span, read off the RREF.
+
+        One vector per free column f, in increasing order: x[f] = 1 and
+        x[pc] = −row_pc[f] for every pivot column pc.
+        """
+        kernel = {f: {f: Fraction(1)} for f in range(self.dim) if f not in self._rows}
+        for pc, row in self._rows.items():
+            for f, v in row.items():
+                if f != pc:
+                    kernel[f][pc] = -v if type(v) is Fraction else Fraction(-v)
+        return list(kernel.values())
+
+    def basis(self) -> list[tuple[Fraction, ...]]:
+        """Canonical dense basis, rows sorted by pivot column."""
+        return [_dense(self.dim, row) for row in self.rows()]
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._rows)
+
+
+def _exact(row: dict) -> dict:
+    """A copy of a sparse row with every value a Fraction."""
+    return {j: v if type(v) is Fraction else Fraction(v) for j, v in row.items()}

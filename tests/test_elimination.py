@@ -181,3 +181,65 @@ def test_span_builder_hands_out_fractions_for_integral_input():
     assert span.rank == 2
     assert_same_span(span, reference, [{2: 5}, [1, 0, 0, 0], {1: 1, 3: 2}])
     assert span.rows() == [{0: 1, 2: -6, 3: -1}, {1: 1, 2: 3}]
+
+
+# The engine keeps its rows as int numerators over one denominator;
+# `oracle.MixedSpanBuilder` is the engine from before, which kept int and
+# Fraction entries as given and divided each row by its lead.  Heights run
+# up to 2**80, so that gcds and lcms work on multi-word integers.
+BIG = 2**80
+HEIGHTS = st.integers(-BIG, BIG) | st.sampled_from([-3, -2, -1, 1, 2, 3, 6])
+ENTRIES = (HEIGHTS
+           | st.builds(Fraction, HEIGHTS, st.integers(1, BIG) | st.sampled_from([2, 3, 4, 9]))
+           | st.sampled_from([0.5, -0.25, 3.0, -2.0, 0.0]) | st.booleans() | st.just(0))
+EXACT_SCALES = st.sampled_from([Fraction(c) for c in ("-2", "-1", "1/3", "1", "3/2", "7")])
+QUERIES = ("rows", "basis", "kernel", "pivot_columns", "rank")
+
+
+def drawn_vector(data, dim, added):
+    """A fresh vector (sparse or dense), or a combination of vectors added
+    so far, so that some probes lie in the span and some adds enlarge
+    nothing."""
+    if added and data.draw(st.booleans()):
+        picked = data.draw(st.lists(st.sampled_from(added), min_size=1, max_size=3))
+        combined: dict = {}
+        for vec in picked:
+            c = data.draw(EXACT_SCALES)
+            for j, v in as_dict(vec).items():
+                combined[j] = combined.get(j, 0) + c * Fraction(v)
+        return combined if data.draw(st.booleans()) else [combined.get(j, 0) for j in range(dim)]
+    return data.draw(vectors(dim, ENTRIES))
+
+
+def handed_out(value):
+    """Every number in a value the engine hands out."""
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [v for item in value for v in handed_out(item)]
+    return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_integer_engine_matches_the_mixed_engine_call_for_call(dim, data):
+    span, reference = SpanBuilder(dim), oracle.MixedSpanBuilder(dim)
+    added = []
+    for _ in range(data.draw(st.integers(1, 24))):
+        op = data.draw(st.sampled_from(("add", "add", "add", "reduce", "contains") + QUERIES))
+        if op in QUERIES:
+            got = getattr(span, op)
+            expected = getattr(reference, op)
+            if op != "rank":
+                got, expected = got(), expected()
+        else:
+            vec = drawn_vector(data, dim, added)
+            got, expected = getattr(span, op)(vec), getattr(reference, op)(vec)
+            if op == "add":
+                added.append(vec)
+        assert got == expected, op
+        if op == "kernel":
+            assert [list(vec.items()) for vec in got] == [list(vec.items()) for vec in expected]
+        assert_exact(handed_out(got))
+    assert_same_span(span, reference, added[:2])
+    assert [list(row.items()) for row in span.rows()] == [list(row.items()) for row in reference.rows()]

@@ -203,3 +203,50 @@ def test_span_builder_accepts_sparse_dicts():
     assert sb.add({0: Fraction(1), 3: Fraction(2)})
     assert sb.contains({0: Fraction(2), 3: Fraction(4)})
     assert not sb.contains({1: Fraction(1)})
+
+
+def test_span_builder_refuses_indices_outside_its_dimension():
+    sb = SpanBuilder(3)
+    sb.add([0, 1, 2])
+    for method in (sb.add, sb.reduce, sb.contains):
+        for vec, message in (({0: 1, 5: 2}, "index 5 out of range for dimension 3"),
+                             ({-1: 1}, "index -1 out of range for dimension 3"),
+                             ({-2: 1, 4: 1}, "index -2 out of range for dimension 3"),
+                             ({3: 0}, "index 3 out of range for dimension 3"),
+                             ([1, 0, 0, 0], "index 3 out of range for dimension 3"),
+                             ([0, 0, 0, 0, 0], "index 4 out of range for dimension 3")):
+            with pytest.raises(ValueError) as info:
+                method(vec)
+            assert str(info.value) == message
+    # nothing was taken in: the span is still the one vector added before
+    assert sb.rank == 1 and sb.pivot_columns() == [1]
+    assert sb.basis() == [(Fraction(0), Fraction(1), Fraction(2))]
+    assert sb.kernel() == [{0: Fraction(1)}, {2: Fraction(1), 1: Fraction(-2)}]
+    empty = SpanBuilder(0)
+    assert not empty.add([]) and not empty.add({}) and empty.kernel() == []
+    with pytest.raises(ValueError) as info:
+        empty.add({0: 1})
+    assert str(info.value) == "index 0 out of range for dimension 0"
+
+
+def test_span_builder_refuses_a_dimension_that_is_not_a_nonnegative_int():
+    for dim, shown in ((-1, "-1"), (2.0, "2.0"), (True, "True"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ValueError) as info:
+            SpanBuilder(dim)
+        assert str(info.value) == f"dimension must be a nonnegative int, got {shown}"
+
+
+def test_span_builder_non_unit_leads_and_large_denominators():
+    """Rows with non-unit leads are kept in lowest terms over their own
+    denominator; what comes out is the RREF in normalized Fractions."""
+    big = 2**80 + 1
+    sb = SpanBuilder(4)
+    assert sb.add({0: 2, 1: 3, 3: Fraction(1, big)})
+    assert sb.add([0, 6, Fraction(4, 3), 0])
+    assert not sb.add({0: 4, 1: 12, 2: Fraction(4, 3), 3: Fraction(2, big)})
+    assert sb.rows() == [{0: Fraction(1), 2: Fraction(-1, 3), 3: Fraction(1, 2 * big)},
+                         {1: Fraction(1), 2: Fraction(2, 9)}]
+    assert sb.reduce({2: 1, 3: 1}) == {2: Fraction(1), 3: Fraction(1)}
+    assert sb.reduce({0: Fraction(1, 7)}) == {2: Fraction(1, 21), 3: Fraction(-1, 14 * big)}
+    assert sb.kernel() == [{2: Fraction(1), 0: Fraction(1, 3), 1: Fraction(-2, 9)},
+                           {3: Fraction(1), 0: Fraction(-1, 2 * big)}]
