@@ -17,8 +17,9 @@ acts by R_ℓ = R_ℓ₂∘R_ℓ₁ − R_ℓ₁∘R_ℓ₂.  `leibniz` and `ron
 recursion in closed form for their own generator rule.
 
 The tensor algebra, where ``[a, b] = a⊗b - b⊗a``, serves only the
-embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon` and the
-section of the free square-identity algebra.  A tensor element is a
+embedding `expand_to_tensor`, its inverse `rewrite_to_lyndon`, the
+section of the free square-identity algebra and the free Leibniz bracket,
+through one commutator, `_commutator`.  A tensor element is a
 `LinComb` keyed by arbitrary words.  The Lyndon expansion is triangular (a
 Lyndon word maps to itself plus lexicographically larger words of the same
 degree), which makes `rewrite_to_lyndon` a plain back-substitution loop.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import DegreeOverflowError, InternalError, NotLieElementError
-from .lincomb import LinComb, _add_scaled, _extend_linearly
+from .lincomb import LinComb, _add_scaled, _extend_bilinearly, _extend_linearly
 
 Word = tuple[int, ...]
 
@@ -167,13 +168,23 @@ def _check_degree(what: str, degree: int, max_degree: int):
         raise DegreeOverflowError(f"{what} {degree} exceeds the cap {max_degree}")
 
 
+def _concatenate(x: dict, y: dict, acc: dict | None = None) -> dict:
+    """x⊗y of sparse tensor elements (words concatenated), added into `acc`
+    (a new dict if None); the one of x and y with fewer words is walked word
+    by word."""
+    if len(x) <= len(y):
+        return _extend_linearly(lambda u: {u + v: c for v, c in y.items()}, x, acc)
+    return _extend_linearly(lambda v: {u + v: c for u, c in x.items()}, y, acc)
+
+
+def _commutator(a: dict, b: dict) -> dict:
+    """a⊗b - b⊗a of sparse tensor elements, in a new dict."""
+    return _concatenate(b, {u: -c for u, c in a.items()}, _concatenate(a, b))
+
+
 def tensor_commutator(a: LinComb, b: LinComb) -> LinComb:
     """a⊗b - b⊗a on tensor elements, extended bilinearly."""
-    data: dict = {}
-    for wa, ca in a:
-        _add_scaled(data, ca, {wa + wb: cb for wb, cb in b})
-        _add_scaled(data, -ca, {wb + wa: cb for wb, cb in b})
-    return LinComb._of(data)
+    return LinComb._of(_commutator(a.coeffs, b.coeffs))
 
 
 @cache
@@ -266,8 +277,9 @@ def lie_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) ->
         return LinComb()
     _check_degree("bracket of degree", element_degree(x) + element_degree(y), max_degree)
     _require_lyndon((*x.keys(), *y.keys()))
-    out: dict = {}
-    for u, cu in x:
-        for v, cv in y:
-            _add_scaled(out, cu * cv, _lyndon_bracket(u, v))
-    return LinComb._of(out)
+    return LinComb._of(_lie_product(x.coeffs, y.coeffs))
+
+
+def _lie_product(x: dict, y: dict) -> dict:
+    """[x, y] of sparse Lie elements in Lyndon coordinates, unchecked."""
+    return _extend_bilinearly(_lyndon_bracket, x, y)

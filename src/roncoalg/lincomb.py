@@ -13,7 +13,8 @@ that produces the element:
 
 Zero coefficients are never stored, so equality is plain dict equality.
 Sparse dicts are added by one loop, `_add_scaled`; `_extend_linearly`
-extends a map on basis keys linearly through it.
+extends a map on basis keys linearly through it, and `_extend_bilinearly`
+a map on pairs of keys bilinearly.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def _extend_linearly(image, x: dict, acc: dict | None = None) -> dict:
     out = {} if acc is None else acc
     for key, c in x.items():
         _add_scaled(out, c, image(key))
+    return out
+
+
+def _extend_bilinearly(image, x: dict, y: dict) -> dict:
+    """Σ c·c′·image(u, v) over the keys u of x and v of y, in a new dict: a
+    map on pairs of basis keys, extended bilinearly."""
+    out: dict = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            _add_scaled(out, cu * cv, image(u, v))
     return out
 
 

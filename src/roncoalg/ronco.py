@@ -21,6 +21,13 @@ the algebra from both sides, [k, y] = 0 = [y, k].  `_image_bracket` is Ψ
 on a pair of Lyndon words, and the bracket sums it over the Lyndon words
 of φx and φy.
 
+`eval_term` uses this on terms: a bracket inside another is needed only
+as its Lie image, φ[a,b] = [φa, φb] (`freelie._lie_product`), and a
+bracket whose value is needed is `_bracket_images(φa, φb)`.  This route is
+taken when the term's static degree is within the cap (see `terms`);
+otherwise each bracket is `ronco_bracket` of the two values, which checks
+the cap on them.
+
 The same bracket is the composite through the free Leibniz algebra:
 `section` embeds into tensor words, `leib_bracket` multiplies there, and
 `project` maps a word w·v to (left-normed bracketing of w) ⊗ v, computed in
@@ -45,6 +52,7 @@ from .freelie import (
     _expand_word,
     _generator_index,
     _left_normed_word,
+    _lie_product,
     _lyndon_bracket,
     _require_lyndon,
     format_word,
@@ -52,7 +60,7 @@ from .freelie import (
     standard_factorization,
     witt_dim,
 )
-from .lincomb import LinComb, _add_scaled, _extend_linearly
+from .lincomb import LinComb, _extend_bilinearly, _extend_linearly
 from .linalg import _span
 from .structure import StructureAlgebra
 from . import terms
@@ -143,11 +151,7 @@ def _image_bracket(w: Word, word: Word) -> dict:
 def _bracket_images(zx: dict, zy: dict) -> dict:
     """Σ c·c′·Ψ(w, ℓ) over the Lyndon words w of zx and ℓ of zy: the bracket
     of any two elements whose Lie images are zx and zy."""
-    out: dict = {}
-    for word, cy in zy.items():
-        for w, cx in zx.items():
-            _add_scaled(out, cx * cy, _image_bracket(w, word))
-    return out
+    return _extend_bilinearly(_image_bracket, zx, zy)
 
 
 def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
@@ -164,8 +168,11 @@ def ronco_bracket(x: LinComb, y: LinComb, max_degree: int = DEFAULT_MAX_DEGREE) 
 
 
 def eval_term(term: terms.Term, num_gens: int, max_degree: int = DEFAULT_MAX_DEGREE) -> LinComb:
-    """Evaluate a parsed bracket term with g_i as the degree-1 generators."""
-    return terms._evaluate_on(term, num_gens, ronco_generator, lambda a, b: ronco_bracket(a, b, max_degree))
+    """Evaluate a parsed bracket term with g_i as the degree-1 generators,
+    through Lie images when the cap allows (module docstring)."""
+    return terms._evaluate_free(term, num_gens, max_degree, ronco_generator,
+                                lambda a, b: ronco_bracket(a, b, max_degree),
+                                _bracket_images, _lie_product, left_image=True)
 
 
 def graded_dim(d: int, n: int) -> int:

@@ -23,6 +23,17 @@ integer coefficients over one positive denominator, and the value is
 divided out once, at the end.  The free-algebra brackets have integer
 structure constants, so no `Fraction` arithmetic happens in between.
 
+`ronco.eval_term` and `leibniz.eval_term` (`_evaluate_free`) evaluate a
+bracket inside another bracket only as its image, all the outer bracket
+reads of it: in 𝒱 the Lie image, φ[a,b] = [φa, φb], and in the free
+Leibniz algebra the tensor image, T[a,b] = T(a)·T(b) − T(b)·T(a).  The
+degree cap refuses a bracket only when both values are nonzero, which an
+image cannot tell ([g1,g1] ≠ 0 in 𝒱, but φ[g1,g1] = 0).  So this route is
+taken only when the term's static degree (a generator counts 1, a bracket
+adds its sides, a scalar, sum or difference takes its largest part) is
+within the cap: it bounds every degree the cap could refuse.  Any other
+term is evaluated node by node, with the cap checked per bracket.
+
 The printer and the evaluator recurse on the tree, and "+"/"-" chains nest
 to the left, so a term may be at most MAX_TERM_DEPTH levels deep: each
 bracket, parenthesis, scalar prefix and chain link counts one level.
@@ -37,6 +48,7 @@ from math import lcm
 from typing import Callable, Union
 
 from .errors import TermSyntaxError, UnknownGeneratorError
+from .freelie import _generator_index
 from .lincomb import LinComb, Record, _add_scaled
 
 MAX_TERM_DEPTH = 200
@@ -232,39 +244,76 @@ def evaluate(term: Term, generator: Callable, bracket: Callable) -> LinComb:
     `freelie`, `leibniz` and `ronco` are.  Subterms are evaluated left to
     right, so the first error raised is the one the tree meets first.
     """
-    data, den = _evaluate(term, generator, bracket)
+    leaf = _cleared(generator)
+
+    def on_values(x: dict, y: dict) -> dict:
+        return bracket(LinComb._of(x), LinComb._of(y)).coeffs
+
+    return _by_images(term, leaf, leaf, on_values, on_values)
+
+
+def _by_images(term: Term, leaf: Callable, letter: Callable, value_bracket: Callable,
+               image_bracket: Callable, left_image: bool = False) -> LinComb:
+    """The value of `term`, with each operand of a bracket taken only as its
+    image.  A generator's value is `leaf(i)` and its image `letter(i)`; a
+    bracket's image is `image_bracket` of its operands' images, and its
+    value `value_bracket` of the left image (if `left_image`) or value and
+    the right image.  All are integer dicts over a denominator, and the
+    rest is taken as `_evaluate` takes it, in its order.  With values for
+    images, this is node-by-node evaluation."""
+
+    def image(left: Term, right: Term) -> tuple[dict, int]:
+        x, dx = _evaluate(left, letter, image)
+        y, dy = _evaluate(right, letter, image)
+        return image_bracket(x, y), dx * dy
+
+    def value(left: Term, right: Term) -> tuple[dict, int]:
+        x, dx = _evaluate(left, letter, image) if left_image else _evaluate(left, leaf, value)
+        y, dy = _evaluate(right, letter, image)
+        return value_bracket(x, y), dx * dy
+
+    data, den = _evaluate(term, leaf, value)
     return LinComb._of({key: Fraction(n, den) for key, n in data.items()})
 
 
-def _evaluate(term: Term, generator: Callable, bracket: Callable) -> tuple[dict, int]:
-    """(integer coefficients, denominator) of a subterm; the dict is new or the
-    bracket's own result, and is never mutated here."""
-    kind = type(term)
-    if kind is Generator:
-        coeffs = generator(term.index).coeffs
+def _cleared(generator: Callable) -> Callable:
+    """The generator's value as (integer coefficients, denominator)."""
+
+    def leaf(i: int) -> tuple[dict, int]:
+        coeffs = generator(i).coeffs
         den = 1
         for c in coeffs.values():
             den = lcm(den, c.denominator)
         return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+
+    return leaf
+
+
+def _evaluate(term: Term, leaf: Callable, node: Callable) -> tuple[dict, int]:
+    """(integer coefficients, denominator) of a subterm: a generator is
+    `leaf(index)` and a bracket `node(left, right)`, each such a pair, and
+    scalars, sums and differences are taken here.  A dict is new or a
+    callback's own, and is never mutated here."""
+    kind = type(term)
+    if kind is Generator:
+        return leaf(term.index)
     if kind is Bracket:
-        x, dx = _evaluate(term.left, generator, bracket)
-        y, dy = _evaluate(term.right, generator, bracket)
-        return bracket(LinComb._of(x), LinComb._of(y)).coeffs, dx * dy
+        return node(term.left, term.right)
     if kind is Scale:
-        x, den = _evaluate(term.term, generator, bracket)
+        x, den = _evaluate(term.term, leaf, node)
         p = term.coeff.numerator
         if not p:
             return {}, 1
         return {key: p * n for key, n in x.items()}, den * term.coeff.denominator
     if kind is Sum:
-        parts = [_evaluate(t, generator, bracket) for t in term.terms]
+        parts = [_evaluate(t, leaf, node) for t in term.terms]
         out, den = parts[0]
         for y, dy in parts[1:]:
             out, den = _combine(out, den, 1, y, dy)
         return out, den
     if kind is Diff:
-        x, dx = _evaluate(term.left, generator, bracket)
-        y, dy = _evaluate(term.right, generator, bracket)
+        x, dx = _evaluate(term.left, leaf, node)
+        y, dy = _evaluate(term.right, leaf, node)
         return _combine(x, dx, -1, y, dy)
     raise TypeError(f"not a term: {term!r}")
 
@@ -277,12 +326,46 @@ def _combine(x: dict, dx: int, sign: int, y: dict, dy: int) -> tuple[dict, int]:
     return out, den
 
 
-def _evaluate_on(term: Term, num_gens: int, generator: Callable, bracket: Callable):
-    """`evaluate` with the generators g1..g{num_gens}; any other index is refused."""
+def _in_range(num_gens: int, generator: Callable) -> Callable:
+    """`generator` on g1..g{num_gens}; any other index is refused."""
 
     def checked(i: int):
         if i > num_gens:
             raise UnknownGeneratorError(f"generator g{i} out of range (have {num_gens})")
         return generator(i)
 
-    return evaluate(term, checked, bracket)
+    return checked
+
+
+def _evaluate_on(term: Term, num_gens: int, generator: Callable, bracket: Callable):
+    """`evaluate` with the generators g1..g{num_gens}; any other index is refused."""
+    return evaluate(term, _in_range(num_gens, generator), bracket)
+
+
+def _degree(term: Term) -> int:
+    """The static degree (module docstring).  What is no term counts 0:
+    `_evaluate` refuses it where it meets it, on either route."""
+    kind = type(term)
+    if kind is Generator:
+        return 1
+    if kind is Bracket:
+        return _degree(term.left) + _degree(term.right)
+    if kind is Scale:
+        return _degree(term.term)
+    if kind is Sum:
+        return max(map(_degree, term.terms))
+    if kind is Diff:
+        return max(_degree(term.left), _degree(term.right))
+    return 0
+
+
+def _evaluate_free(term: Term, num_gens: int, max_degree: int, generator: Callable, bracket: Callable,
+                   value_bracket: Callable, image_bracket: Callable, left_image: bool = False) -> LinComb:
+    """`_evaluate_on` through `_by_images` when the static degree is within
+    the cap (module docstring), else node by node with `bracket`.  An image
+    of g_i is the letter i; both brackets take and give integer dicts."""
+    if _degree(term) > max_degree:
+        return _evaluate_on(term, num_gens, generator, bracket)
+    return _by_images(term, _in_range(num_gens, _cleared(generator)),
+                      _in_range(num_gens, lambda i: ({(_generator_index(i),): 1}, 1)),
+                      value_bracket, image_bracket, left_image)

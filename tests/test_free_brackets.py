@@ -10,7 +10,10 @@ algebra on every basis key of the left factor (`free_oracle.act`), the
 path they replaced, and the identities behind them are checked directly:
 the kernel of the Lie quotient annihilates 𝒱 from both sides, and the
 tensor image of a left-normed word is the expansion of its Lyndon
-coordinates."""
+coordinates.  Term evaluation takes an inner bracket only as its image, so
+both images must be maps of Lie algebras: the Lie image of a 𝒱 bracket is
+the Lie bracket of the images, and T of a free Leibniz bracket is the
+commutator of the T-images."""
 
 from fractions import Fraction
 from itertools import product
@@ -29,10 +32,13 @@ from roncoalg.freelie import (
     lyndon_words,
     standard_factorization,
 )
+from roncoalg import leibniz
 from roncoalg.leibniz import _left_normed_tensor, leib_bracket, leib_generator
 from roncoalg.linalg import _span
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import (
+    _lie_image,
+    eval_term,
     graded_basis,
     graded_dim,
     graded_kernel_basis,
@@ -349,3 +355,43 @@ def test_leib_bracket_refuses_the_empty_word_on_the_right():
     for y in (LinComb.basis(()), LinComb.basis(()) + g1):
         with pytest.raises(ValueError, match="^the empty word has no left-normed bracketing$"):
             leib_bracket(g1, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_lie_image_of_a_bracket_is_the_bracket_of_the_images(data):
+    d = data.draw(st.integers(2, 4))
+    deg_x = data.draw(st.integers(1, MAX_DEGREE - 1))
+    x = data.draw(ronco_elements(d, deg_x))
+    y = data.draw(ronco_elements(d, MAX_DEGREE - deg_x))
+    want = lie_bracket(LinComb(_lie_image(x)), LinComb(_lie_image(y)))
+    assert LinComb(_lie_image(ronco_bracket(x, y))) == want
+
+
+def tensor_image(x: LinComb) -> LinComb:
+    """T extended linearly from the left-normed tensor of each word."""
+    return LinComb([(t, c * ct) for w, c in x for t, ct in _left_normed_tensor(w).items()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_tensor_image_of_a_bracket_is_the_commutator_of_the_images(data):
+    d = data.draw(st.integers(2, 4))
+    deg_x = data.draw(st.integers(1, MAX_DEGREE - 1))
+    x = data.draw(word_elements(d, deg_x))
+    y = data.draw(word_elements(d, MAX_DEGREE - deg_x))
+    tx, ty = tensor_image(x), tensor_image(y)
+    commutator = LinComb([(u + v, a * b) for u, a in tx for v, b in ty]
+                         + [(v + u, -a * b) for u, a in tx for v, b in ty])
+    assert tensor_image(leib_bracket(x, y)) == commutator
+
+
+@pytest.mark.parametrize("text", DEGREE_10_TERMS)
+def test_degree_10_terms_evaluate_through_images_as_node_by_node(text):
+    term = terms.parse_term(text)
+    got = eval_term(term, 3, 10)
+    assert got == terms._evaluate_on(term, 3, ronco_generator, lambda a, b: ronco_bracket(a, b, max_degree=10))
+    assert holds_fractions(got) and not got.is_zero()
+    got = leibniz.eval_term(term, 3, 10)
+    assert got == terms._evaluate_on(term, 3, leib_generator, lambda a, b: leib_bracket(a, b, max_degree=10))
+    assert holds_fractions(got) and not got.is_zero()

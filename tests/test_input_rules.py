@@ -3,7 +3,7 @@ caller of it says.
 
   * the degree cap (`freelie._check_degree`): the three brackets, the
     graded kernel and the truncation;
-  * the generator range (`terms._evaluate_on`): both term evaluators;
+  * the generator range (`terms._in_range`): both term evaluators, on both routes;
   * the generator index (`freelie._generator_index`): the generators of
     the three free algebras;
   * the Lyndon keys (`freelie._require_lyndon`): the Lie bracket, the
