@@ -135,10 +135,10 @@ def _cmd_graded_kernel(args) -> int:
     if args.deg <= max_degree:  # a larger degree is refused by the degree cap
         _check_size("--gens", args.gens)
         _check_size("--deg", args.deg)
-        if args.gens >= 1 and args.deg >= 2:  # smaller ones are refused by graded_kernel_basis
+        if args.gens >= 1 and args.deg >= 2:  # smaller ones are refused by ronco._graded_kernel
             _check_size("the domain of the bracket-to-Lie map", ronco.graded_dim(args.gens, args.deg))
-    basis = ronco.graded_kernel_basis(args.gens, args.deg, max_degree)
-    sys.stdout.write(jsonio.dumps_graded_kernel(args.deg, basis, args.gens))
+    keys, kernel = ronco._graded_kernel(args.gens, args.deg, max_degree)
+    sys.stdout.write(jsonio.dumps_graded_kernel(args.deg, keys, kernel, args.gens))
     return 0
 
 

@@ -7,7 +7,8 @@ words are bracketed by the classical rewriting of Lyndon brackets
 (Reutenauer, *Free Lie Algebras*, ch. 4-5), with integer coefficients and
 one cache entry per pair of words; `lie_bracket` and the left-normed
 bracketing of words (one letter at a time) are built on it.  Maps on
-words reach elements through `lincomb._extend_linearly`.
+words, and on pairs of words, reach elements through
+`lincomb._extend_linearly` and `lincomb._extend_bilinearly`.
 
 Lie elements also act from the right on the other free algebras.  In any
 right Leibniz algebra [x,[y,z]] = [[x,y],z] − [[x,z],y], so right
@@ -236,7 +237,7 @@ def _lyndon_bracket(u: Word, v: Word) -> dict:
     with standard factorization (u, v) when u is a letter or u2 >= v;
     otherwise Jacobi gives [u, v] = [[u1, v], u2] + [u1, [u2, v]], and the
     classical rewriting recurses on those brackets: the outer bracket of
-    each sum is extended linearly over the Lyndon words of the inner one.
+    each sum is extended bilinearly over the Lyndon words of the inner one.
     The result is shared through the cache and must not be mutated.
     """
     if u == v:
@@ -248,8 +249,8 @@ def _lyndon_bracket(u: Word, v: Word) -> dict:
     u1, u2 = standard_factorization(u)
     if u2 >= v:
         return {u + v: 1}
-    out = _extend_linearly(lambda w: _lyndon_bracket(w, u2), _lyndon_bracket(u1, v))
-    return _extend_linearly(lambda w: _lyndon_bracket(u1, w), _lyndon_bracket(u2, v), out)
+    out = _extend_bilinearly(_lyndon_bracket, _lyndon_bracket(u1, v), {u2: 1})
+    return _extend_bilinearly(_lyndon_bracket, {u1: 1}, _lyndon_bracket(u2, v), out)
 
 
 @cache

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .freelie import format_word
@@ -164,25 +165,18 @@ def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:
 # ---------------------------------------------------------------------------
 # free-algebra elements in (lyndon_word, generator) coordinates
 
-def _element_parts(x: LinComb, num_gens: int, higher) -> tuple[list, list]:
-    """The deg1 coefficient strings of an element, and `higher(key, text)`
-    of each higher-degree key and its coefficient string, in key order."""
-    # every coefficient is an int or a normalized Fraction, whose str is
-    # `format_rational`'s "p" or "p/q"
-    deg1 = ["0"] * num_gens
-    out = []
-    for key, c in x.sorted_items(key=key_sort_key):
-        if key[0]:
-            out.append(higher(key, str(c)))
-        else:
-            deg1[key[1] - 1] = str(c)
-    return deg1, out
-
-
 def ronco_element_to_obj(x: LinComb, num_gens: int) -> dict:
     """Degree-1 part as a dense coefficient list; higher part as sorted
     (word-string, generator, rational-string) triples."""
-    deg1, higher = _element_parts(x, num_gens, lambda key, c: [format_word(key[0], num_gens), key[1], c])
+    # every coefficient is an int or a normalized Fraction, whose str is
+    # `format_rational`'s "p" or "p/q"
+    deg1 = ["0"] * num_gens
+    higher = []
+    for (word, v), c in x.sorted_items(key=key_sort_key):
+        if word:
+            higher.append([format_word(word, num_gens), v, str(c)])
+        else:
+            deg1[v - 1] = str(c)
     return {"deg1": deg1, "higher": higher}
 
 
@@ -197,25 +191,34 @@ _HIGHER_KEY = '\n        [\n          "%s",\n          %d,\n          "'  # a tr
 _HIGHER_END = '"\n        ]'
 
 
-def dumps_graded_kernel(degree: int, basis: Sequence[LinComb], num_gens: int) -> str:
+def dumps_graded_kernel(degree: int, keys: Sequence, kernel: Sequence, num_gens: int) -> str:
     """The canonical JSON text of a graded-kernel basis, byte for byte what
     `dumps_canonical` prints for {"degree", "dimension", "basis"}, each
-    element given by `ronco_element_to_obj`.  The text of each key, up to
-    its coefficient, is formatted once per call."""
-    keys: dict = {}
-
-    def higher(key, c: str) -> str:
-        text = keys.get(key)
-        if text is None:
-            text = keys[key] = _HIGHER_KEY % (format_word(key[0], num_gens), key[1])
-        return text + c + _HIGHER_END
-
+    element given by `ronco_element_to_obj`.  `keys` and `kernel` are as
+    `ronco._graded_kernel` gives them: keys of one degree >= 2 (so every
+    deg1 list is all "0") in key order, and (column, `int` numerator,
+    positive `int` denominator) entries by column, so in key order too.
+    Entries are written in lowest terms; each word and key is formatted
+    once per call."""
+    deg1 = _list_text([_DEG1 % "0"] * num_gens, "      ")
+    texts: list = [None] * len(keys)
+    words: dict = {}
     elements = []
-    for x in basis:
-        deg1, triples = _element_parts(x, num_gens, higher)
-        elements.append(_ELEMENT % (_list_text([_DEG1 % c for c in deg1], "      "),
-                                    _list_text(triples, "      ")))
-    return _KERNEL % (degree, len(basis), _list_text(elements, "  "))
+    for vec in kernel:
+        higher = []
+        for j, num, den in vec:
+            text = texts[j]
+            if text is None:
+                word, v = keys[j]
+                w = words.get(word)
+                if w is None:
+                    w = words[word] = format_word(word, num_gens)
+                text = texts[j] = _HIGHER_KEY % (w, v)
+            g = gcd(num, den)
+            c = num // g if den == g else f"{num // g}/{den // g}"
+            higher.append(f"{text}{c}{_HIGHER_END}")
+        elements.append(_ELEMENT % (deg1, _list_text(higher, "      ")))
+    return _KERNEL % (degree, len(kernel), _list_text(elements, "  "))
 
 
 # ---------------------------------------------------------------------------

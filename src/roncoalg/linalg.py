@@ -6,9 +6,9 @@ kernels and quotient dimensions are read off it.  No floating point
 anywhere, and no `Fraction` arithmetic inside the builder: each RREF row is
 kept as `int` numerators over one positive `int` denominator, and a gcd is
 taken only for a row whose denominator is not 1 (see `SpanBuilder`).  Every
-value it hands out is a normalized `Fraction`.  It indexes, per column, the
-rows that may hold that column, so a new pivot is back-substituted only
-into those rows.
+value it hands out is a normalized `Fraction`, but for the `int`s of
+`integer_kernel`.  It indexes, per column, the rows that may hold that
+column, so a new pivot is back-substituted only into those rows.
 
 The result is deterministic: the RREF depends only on the span, and its
 pivots are the leading columns of the row space.
@@ -156,7 +156,7 @@ class SpanBuilder:
     not 1 is divided by the gcd of its entries when it is stored and each
     time a new row is back-substituted into it, so it is the RREF row times
     the lcm of that row's denominators.  Every value handed out (`rows`,
-    `basis`, `reduce`, `kernel`) is a normalized `Fraction`.
+    `basis`, `reduce`, `kernel`; not `integer_kernel`) is a normalized `Fraction`.
 
     Indices run over 0..dim−1; a vector with another index, or a dense
     vector longer than `dim`, raises ValueError.
@@ -242,19 +242,26 @@ class SpanBuilder:
         """Sparse RREF rows sorted by pivot column (fresh dicts)."""
         return [_fractions(row, row[pc]) for pc, row in sorted(self._rows.items())]
 
-    def kernel(self) -> list[dict]:
-        """Sparse basis of the vectors orthogonal to the span, read off the RREF.
-
-        One vector per free column f, in increasing order: x[f] = 1 and
-        x[pc] = −row_pc[f] for every pivot column pc.
-        """
-        kernel = {f: {f: Fraction(1)} for f in range(self.dim) if f not in self._rows}
+    def integer_kernel(self) -> list[list[tuple[int, int, int]]]:
+        """Basis of the vectors orthogonal to the span as lists of (column,
+        `int` numerator, positive `int` denominator), one per free column f,
+        in increasing order: x[f] = 1, then x[pc] = −row_pc[f] for each pivot
+        column pc, in the order the rows were added.  The kernel depends only
+        on which columns depend on earlier ones, so it is read off the integer
+        rows unchanged: x[pc] is −v over d, the row's entry at f over its
+        denominator, not always in lowest terms."""
+        kernel = {f: [(f, 1, 1)] for f in range(self.dim) if f not in self._rows}
         for pc, row in self._rows.items():
             d = row[pc]
             for f, v in row.items():
                 if f != pc:
-                    kernel[f][pc] = Fraction(-v) if d == 1 else Fraction(-v, d)
+                    kernel[f].append((pc, -v, d))
         return list(kernel.values())
+
+    def kernel(self) -> list[dict]:
+        """`integer_kernel` with each vector a sparse dict of Fractions, in the same order."""
+        return [{j: Fraction(n) if d == 1 else Fraction(n, d) for j, n, d in vec}
+                for vec in self.integer_kernel()]
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         """Canonical dense basis, rows sorted by pivot column."""

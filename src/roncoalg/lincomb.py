@@ -57,10 +57,11 @@ def _extend_linearly(image, x: dict, acc: dict | None = None) -> dict:
     return out
 
 
-def _extend_bilinearly(image, x: dict, y: dict) -> dict:
-    """Σ c·c′·image(u, v) over the keys u of x and v of y, in a new dict: a
-    map on pairs of basis keys, extended bilinearly."""
-    out: dict = {}
+def _extend_bilinearly(image, x: dict, y: dict, acc: dict | None = None) -> dict:
+    """Σ c·c′·image(u, v) over the keys u of x and v of y, added into `acc`
+    (a new dict if None) and returned: a map on pairs of basis keys,
+    extended bilinearly.  Images are only read, as in `_extend_linearly`."""
+    out = {} if acc is None else acc
     for u, cu in x.items():
         for v, cv in y.items():
             _add_scaled(out, cu * cv, image(u, v))

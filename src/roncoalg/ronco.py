@@ -144,8 +144,8 @@ def _image_bracket(w: Word, word: Word) -> dict:
     if len(word) == 1:
         return {(w, word[0]): 1}
     first, second = standard_factorization(word)
-    out = _extend_linearly(lambda u: _image_bracket(u, second), _lyndon_bracket(w, first))
-    return _extend_linearly(lambda u: _image_bracket(u, first), _lyndon_bracket(second, w), out)
+    out = _extend_bilinearly(_image_bracket, _lyndon_bracket(w, first), {second: 1})
+    return _extend_bilinearly(_image_bracket, _lyndon_bracket(second, w), {first: 1}, out)
 
 
 def _bracket_images(zx: dict, zy: dict) -> dict:
@@ -191,20 +191,17 @@ def graded_basis(d: int, n: int) -> list[RKey]:
     return [(word, v) for word in lyndon_words(d, n - 1) for v in range(1, d + 1)]
 
 
-def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) -> list[LinComb]:
-    """Basis of the kernel of the bracket-to-Lie map in degree n >= 2.
-
-    The map sends ξ⊗v to [ξ, g_v] in the free Lie algebra; its kernel
-    measures the failure of the degree-n piece to be Lie.  Kernel vectors
-    come from the deterministic echelon kernel, one per free basis key,
-    each with its keys in basis order.
+def _graded_kernel(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[list, list]:
+    """The integer core of `graded_kernel_basis`: the basis keys, and each kernel
+    vector's `SpanBuilder.integer_kernel` entries sorted by column (key order).
 
     The rows (one per Lyndon word of degree n) are spanned sorted by their
     lowest column, largest first.  A row whose lowest column is no pivot
     yet then leads left of every pivot already held, so it changes none of
-    the rows held; only a row that shares its lowest column with an earlier
-    one is reduced and may still back-substitute.  The reduced echelon form
-    does not depend on the order, so neither does the kernel.
+    the rows held (its other columns may still be reduced); only a row that
+    shares its lowest column with an earlier one may back-substitute.  The
+    reduced echelon form does not depend on the order, so neither does the
+    kernel.
     """
     if n < 2:
         raise ValueError(f"the kernel lives in degrees >= 2, got n={n}")
@@ -216,9 +213,22 @@ def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) ->
     for j, key in enumerate(keys):
         for target, c in _key_image(key).items():
             rows.setdefault(target, {})[j] = c
-    kernel = _span(len(keys), sorted(rows.values(), key=min, reverse=True)).kernel()
-    # kernel() hands out nonzero Fractions, which LinComb adopts without re-wrapping
-    return [LinComb._of({keys[j]: c for j, c in sorted(vec.items())}) for vec in kernel]
+    kernel = _span(len(keys), sorted(rows.values(), key=min, reverse=True)).integer_kernel()
+    return keys, [sorted(vec) for vec in kernel]
+
+
+def graded_kernel_basis(d: int, n: int, max_degree: int = DEFAULT_MAX_DEGREE) -> list[LinComb]:
+    """Basis of the kernel of the bracket-to-Lie map in degree n >= 2.
+
+    The map sends ξ⊗v to [ξ, g_v] in the free Lie algebra; its kernel
+    measures the failure of the degree-n piece to be Lie.  Kernel vectors
+    come from the deterministic echelon kernel, one per free basis key,
+    each with its keys in basis order.  The kernel depends only on which
+    columns depend on earlier ones, so `_graded_kernel` reads it off the
+    integer RREF unchanged; here its entries become Fractions.
+    """
+    keys, kernel = _graded_kernel(d, n, max_degree)
+    return [LinComb._of({keys[j]: Fraction(num, den) for j, num, den in vec}) for vec in kernel]
 
 
 def truncation_basis(d: int, max_deg: int) -> list[RKey]:

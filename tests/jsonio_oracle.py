@@ -5,9 +5,9 @@ reader that parsed every coefficient and let the constructors check the
 table again.
 
 Kept unchanged only so that tests can check that `dumps_algebra(x)` equals
-`dumps_canonical(algebra_to_obj(x))`, and `dumps_graded_kernel` equals
-`graded_kernel_text`, the standard library's encoding of the same object,
-byte for byte; and that `jsonio.obj_to_algebra` returns what
+`dumps_canonical(algebra_to_obj(x))`, and `dumps_graded_kernel` of the
+integer kernel equals `graded_kernel_text` of `graded_kernel_basis`, the
+standard library's encoding of the same object, byte for byte; and that `jsonio.obj_to_algebra` returns what
 `obj_to_algebra` returns, or raises the same message.
 """
 

@@ -193,7 +193,7 @@ ENTRIES = (HEIGHTS
            | st.builds(Fraction, HEIGHTS, st.integers(1, BIG) | st.sampled_from([2, 3, 4, 9]))
            | st.sampled_from([0.5, -0.25, 3.0, -2.0, 0.0]) | st.booleans() | st.just(0))
 EXACT_SCALES = st.sampled_from([Fraction(c) for c in ("-2", "-1", "1/3", "1", "3/2", "7")])
-QUERIES = ("rows", "basis", "kernel", "pivot_columns", "rank")
+QUERIES = ("rows", "basis", "kernel", "integer_kernel", "pivot_columns", "rank")
 
 
 def drawn_vector(data, dim, added):
@@ -227,6 +227,14 @@ def test_integer_engine_matches_the_mixed_engine_call_for_call(dim, data):
     added = []
     for _ in range(data.draw(st.integers(1, 24))):
         op = data.draw(st.sampled_from(("add", "add", "add", "reduce", "contains") + QUERIES))
+        if op == "integer_kernel":
+            # the oracle has no integer reader: its entries are kernel()'s, item for item
+            got = span.integer_kernel()
+            assert all(type(num) is int and type(den) is int and den > 0 for vec in got for _, num, den in vec)
+            as_fractions = [[(j, Fraction(num, den)) for j, num, den in vec] for vec in got]
+            assert as_fractions == [list(vec.items()) for vec in span.kernel()]
+            assert as_fractions == [list(vec.items()) for vec in reference.kernel()]
+            continue
         if op in QUERIES:
             got = getattr(span, op)
             expected = getattr(reference, op)

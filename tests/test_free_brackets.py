@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import free_oracle as oracle
 from roncoalg import terms
 from roncoalg.freelie import (
+    _lyndon_bracket,
     expand_to_tensor,
     is_lyndon,
     left_normed_bracketing,
@@ -94,6 +95,16 @@ def test_lie_bracket_matches_oracle(data):
     got = lie_bracket(x, y)
     assert got == oracle.lie_bracket(x, y)
     assert holds_fractions(got)
+
+
+def test_lyndon_bracket_matches_oracle_on_every_pair_of_3_letter_words():
+    # both Jacobi sums, both orders and equal words, up to total length 6
+    words = [w for n in range(1, 6) for w in lyndon_words(3, n)]
+    for u, v in product(words, repeat=2):
+        if len(u) + len(v) <= 6:
+            got = _lyndon_bracket(u, v)
+            assert all(type(c) is int and c for c in got.values())
+            assert LinComb(got) == oracle.lie_bracket(LinComb.basis(u), LinComb.basis(v)), (u, v)
 
 
 @settings(max_examples=80, deadline=None)

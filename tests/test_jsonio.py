@@ -27,7 +27,15 @@ from roncoalg.jsonio import (
 )
 from roncoalg.linalg import parse_rational
 from roncoalg.lincomb import LinComb
-from roncoalg.ronco import eval_term, graded_basis, graded_dim, graded_kernel_basis, truncate_to_structure
+from roncoalg.ronco import (
+    _graded_kernel,
+    eval_term,
+    graded_basis,
+    graded_dim,
+    graded_kernel_basis,
+    key_sort_key,
+    truncate_to_structure,
+)
 from roncoalg.structure import MuAlgebra, StructureAlgebra, free_nil2, ronco_to_mu
 from roncoalg.terms import parse_term
 
@@ -385,14 +393,32 @@ GRADED_KERNELS = [(d, n) for d in range(1, 5) for n in range(2, DEFAULT_MAX_DEGR
 
 @pytest.mark.parametrize("d, n", GRADED_KERNELS)
 def test_graded_kernel_writer_prints_the_standard_library_bytes(d, n):
-    basis = graded_kernel_basis(d, n)
-    assert dumps_graded_kernel(n, basis, d) == graded_kernel_text(n, basis, d)
+    # the writer prints the integer kernel; the oracle, the library's Fractions
+    keys, kernel = _graded_kernel(d, n)
+    assert dumps_graded_kernel(n, keys, kernel, d) == graded_kernel_text(n, graded_kernel_basis(d, n), d)
 
 
-def test_graded_kernel_writer_on_empty_and_degree_one_parts():
+def integer_kernel_of(elements: list) -> tuple[list, list]:
+    """Sorted keys of some elements, and each element as (column, numerator,
+    denominator) entries in column order: the writer's input."""
+    keys = sorted({key for x in elements for key in x.keys()}, key=key_sort_key)
+    column = {key: j for j, key in enumerate(keys)}
+    return keys, [sorted((column[key], c.numerator, c.denominator) for key, c in x) for x in elements]
+
+
+def test_graded_kernel_writer_on_an_empty_kernel_and_entries_not_in_lowest_terms():
     assert graded_kernel_basis(1, 3) == []
-    assert dumps_graded_kernel(3, [], 1) == graded_kernel_text(3, [], 1) == (
+    assert dumps_graded_kernel(3, *_graded_kernel(1, 3), 1) == graded_kernel_text(3, [], 1) == (
         '{\n  "degree": 3,\n  "dimension": 0,\n  "basis": []\n}\n')
-    # the writer takes any elements: a degree-1 part, no higher part, the zero element
-    elements = [eval_term(parse_term(t), num_gens=11) for t in ("2*g1 - 1/2*[g1,g11]", "-3/7*g10", "0*g2")]
-    assert dumps_graded_kernel(2, elements, 11) == graded_kernel_text(2, elements, 11)
+    # degree-2 elements with rational coefficients, and the zero element
+    elements = [eval_term(parse_term(t), num_gens=11)
+                for t in ("2*[g1,g2] - 1/2*[g1,g11]", "-3/7*[g10,g3] + 5*[g2,g1]", "0*[g1,g2]")]
+    keys, kernel = integer_kernel_of(elements)
+    assert dumps_graded_kernel(2, keys, kernel, 11) == graded_kernel_text(2, elements, 11)
+    # every entry is written in lowest terms, integral or not
+    scaled = [[(j, 6 * num, 6 * den) for j, num, den in vec] for vec in kernel]
+    assert dumps_graded_kernel(2, keys, scaled, 11) == graded_kernel_text(2, elements, 11)
+    keys, kernel = _graded_kernel(4, 5)
+    scaled = [[(j, -10 * num, 10 * den) for j, num, den in vec] for vec in kernel]
+    negated = [-x for x in graded_kernel_basis(4, 5)]
+    assert dumps_graded_kernel(5, keys, scaled, 4) == graded_kernel_text(5, negated, 4)

@@ -3,15 +3,15 @@ adds with.
 
 The constructor merges (key, coefficient) pairs into nonzero `Fraction`s;
 the arithmetic methods are pinned here on small values, and so are the
-zero-scale shortcut of `_add_scaled` and the linear extension
-`_extend_linearly`.
+zero-scale shortcut of `_add_scaled`, the linear extension
+`_extend_linearly` and the bilinear extension `_extend_bilinearly`.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from roncoalg.lincomb import LinComb, _add_scaled, _extend_linearly
+from roncoalg.lincomb import LinComb, _add_scaled, _extend_bilinearly, _extend_linearly
 
 
 def test_constructor_merges_repeated_keys():
@@ -99,3 +99,19 @@ def test_linear_extension_adds_into_the_accumulator():
     fresh["x"] = 0
     assert image("a") == {"x": 1, "y": 2}  # images are read, never written
 
+
+
+def test_bilinear_extension_adds_into_the_accumulator():
+    images = {("a", "p"): {"x": 1, "y": 2}, ("b", "p"): {"y": -1}}
+
+    def image(u, v):
+        return images[u, v]
+
+    assert _extend_bilinearly(image, {}, {"p": 1}) == {}
+    acc = {"y": -3, "z": 1}
+    assert _extend_bilinearly(image, {"a": 2, "b": -2}, {"p": Fraction(1, 2)}, acc) is acc
+    assert acc == {"x": 1, "z": 1}  # y: −3 + 1·2 + (−1)·(−1) = 0 is dropped
+    fresh = _extend_bilinearly(image, {"a": 1}, {"p": 1})
+    assert fresh == {"x": 1, "y": 2}
+    fresh["x"] = 0
+    assert image("a", "p") == {"x": 1, "y": 2}  # images are read, never written
