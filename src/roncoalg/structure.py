@@ -11,15 +11,20 @@ two presentations refuse inputs whose report is non-empty.
 
 The identities are rows of one table, each a signed sum of bracket
 monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; a variety is
-a list of rows in `_VARIETY_GROUPS`.  One evaluator visits only the index
-tuples that a nonzero value reaches, so the cost follows the nonzero cells,
-not dim³.  It computes in `int`s on the tables times D, the lcm of all their
-denominators (`_integer_tables`, which `homology` uses too), and builds every composite such as [[e_x,e_y],e_z] once per
-call, shared by all rows and all permuted tuples.  A row is all cells or all
-nested monomials, so its sum is D or D² times the true value; a violation's
-residual is that sum divided back, the exact tuple of Fractions.  The
-residuals are made dense only within the budget `linalg.MAX_DENSE_ENTRIES`;
-more raise RoncoError before any of them is.
+a list of rows in `_VARIETY_GROUPS`.  One evaluator reads only the nonzero
+values, so the cost follows the nonzero cells, not dim³.  It computes in
+`int`s on the tables times D, the lcm of all their denominators
+(`_integer_tables`, which `homology` uses too), and builds every composite
+such as [[e_x,e_y],e_z] once per call, shared by all rows.  Each row is
+checked whole: its first monomial's values, keyed by index tuple, must
+equal the other monomials' values scattered onto the same tuples, one dict
+comparison; only a row that fails is summed, at the tuples where the two
+differ.  A row is all cells or all nested monomials, so its sum is D or D²
+times the true value; a violation's residual is that sum divided back, the
+exact tuple of Fractions.  The residuals are made dense only within the
+budget `linalg.MAX_DENSE_ENTRIES`; more raise RoncoError before any of them
+is.  The conversions share the check's integer table: each reads the
+tables times D that its check read, and divides D back once per entry.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .lincomb import Record, _add_scaled
 from .linalg import SpanBuilder, _check_dense, _dense, parse_rational
 
 _EMPTY: dict = {}
-_ZERO = Fraction(0)
 
 
 def _check_dim(dim: int):
@@ -165,12 +169,12 @@ class VerificationReport(Record):
 #   +o(x,t(y,z))     [e_x, [e_y, e_z]], shape "left"
 #   +o(t(x,y),z)     [[e_x, e_y], e_z], shape "right"
 # A variable may repeat; every monomial of a row must use all its variables,
-# and a row is all cells or all nested monomials.  A group of rows is checked
-# in one pass over the index tuples, so that their violations interleave
-# tuple by tuple.  A monomial is (sign, (shape, outer, inner), args, read,
-# repeated): `args` reads its slots (x, y[, z]) off an index tuple, and `read`
-# reads the index tuple off the slots, each variable from its first slot
-# (a 1-tuple when there is one variable).
+# and a row is all cells or all nested monomials.  The rows of a group
+# report together, their violations interleaved tuple by tuple.  A monomial
+# is (sign, (shape, outer, inner), args, read, repeated): `args` reads its
+# slots (x, y[, z]) off an index tuple, and `read` reads the index tuple off
+# the slots, each variable from its first slot (a 1-tuple when there is one
+# variable); `read` is None when the slots are the variables in order.
 
 def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
     monomials = []
@@ -185,7 +189,8 @@ def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
         slots = ["ijk".index(c) for c in shape[3]]
         first = [slots.index(v) for v in range(max(slots) + 1)]
         read = operator.itemgetter(*first) if len(first) > 1 else operator.itemgetter(slice(1))
-        monomials.append((sign, shape[:3], operator.itemgetter(*slots), read, len(first) < len(slots)))
+        monomials.append((sign, shape[:3], operator.itemgetter(*slots),
+                          None if slots == list(range(len(slots))) else read, len(first) < len(slots)))
     if len({mono[1][0] == "cell" for mono in monomials}) > 1:
         raise ValueError(f"row {axiom!r} mixes cell monomials with nested ones")
     return axiom, monomials, keep
@@ -207,10 +212,11 @@ _MU_GROUPS = [
     [_row("bracket-antisymmetry", "+l(i,j) +l(j,i)", operator.lt)],
     [_row("product-bracket", "+l(p(i,j),k)")],
     [_row("coupled-jacobi", "+l(i,l(j,k)) +l(k,l(i,j)) +l(j,l(k,i)) -p(i,l(j,k))")],
-    [_row("symmetric", "+p(i,l(j,k))")],  # only with symmetric=True
+    [_row("symmetric", "+p(i,l(j,k))")],  # only in "mu-symmetric"
     [_row("skew-action", "+p(i,l(i,j))")],
     [_row("skew-action-polarized", "+p(i,l(j,k)) +p(j,l(i,k))")],
 ]
+_MU_VARIETIES = {"mu": [g for g in _MU_GROUPS if g[0][0] != "symmetric"], "mu-symmetric": _MU_GROUPS}
 
 
 def _integer_tables(*tables: dict) -> tuple[int, list[dict]]:
@@ -221,59 +227,70 @@ def _integer_tables(*tables: dict) -> tuple[int, list[dict]]:
                     for key, cell in table.items()} for table in tables]
 
 
-def _composites(tables: dict, partners: dict, shape: str, outer: str, inner: str) -> dict:
+def _composites(tables: dict, shape: str, outer: str, inner: str) -> dict:
     """{(x, y, z): value} for every nonzero o(x,t(y,z)) ("left") or o(t(x,y),z) ("right")."""
+    left = shape == "left"
+    near: dict = {}  # m -> [(a, [e_a, e_m])] ("left") or [(c, [e_m, e_c])] ("right")
+    for (a, c), cell in tables[outer].items():
+        near.setdefault(c if left else a, []).append((a if left else c, cell))
     out: dict = {}
-    o = tables[outer]
     for (x, y), cell in tables[inner].items():
         for m, c in cell.items():
-            if shape == "left":
-                for a in partners.get((outer, 0, m), ()):
-                    _add_scaled(out.setdefault((a, x, y), {}), c, o[(a, m)])
-            else:
-                for z in partners.get((outer, 1, m), ()):
-                    _add_scaled(out.setdefault((x, y, z), {}), c, o[(m, z)])
+            for a, image in near.get(m, ()):
+                key = (a, x, y) if left else (x, y, a)
+                acc = out.get(key)
+                if acc is None:  # the first contribution: nonzero times nonzero
+                    out[key] = {k: c * v for k, v in image.items()}
+                else:
+                    _add_scaled(acc, c, image)
     return {key: value for key, value in out.items() if value}
 
 
-def _check(variety: str, dim: int, tables: dict, groups: list) -> VerificationReport:
-    """Evaluate each group of rows at the index tuples its nonzero values reach.
+def _at_tuples(values: dict, monomial: tuple, keep: Callable | None):
+    """(t, value) for every index tuple t of a row at which a monomial is
+    nonzero and `keep` holds, off its family's {slots: value}."""
+    _, _, args, read, repeated = monomial
+    if read is None and keep is None:
+        return values.items()
+    pairs = ((read(slots) if read else slots, slots, value) for slots, value in values.items())
+    return [(t, v) for t, slots, v in pairs if (not repeated or args(t) == slots) and (keep is None or keep(*t))]
 
-    The tuples are visited in lexicographic order, so the violations come
-    out as a loop over all basis tuples would list them.
+
+def _check(variety: str, dim: int, groups: list, scale: int, tables: dict) -> VerificationReport:
+    """Check every row on `tables`, the algebra's tables times D (`scale`).
+
+    A row holds when its first monomial's values, keyed by index tuple, equal
+    Σ −sign·(each other monomial) scattered onto the same tuples: one dict
+    comparison.  Only a row that fails is summed, and only at the tuples
+    where the two sides differ.  The violations are sorted by group, tuple
+    and row, as a loop over all basis tuples would list them.
     """
-    scale, scaled = _integer_tables(*tables.values())
-    tables = dict(zip(tables, scaled))
-    partners: dict = {}  # (table, 0, m) -> [a : (a, m) nonzero], (table, 1, m) -> [c : (m, c) nonzero]
-    for name, table in tables.items():
-        for a, c in table:
-            partners.setdefault((name, 0, c), []).append(a)
-            partners.setdefault((name, 1, a), []).append(c)
     # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
     families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
-    values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, partners, *f) for f in families}
-    found = []  # (axiom, tuple, sparse residual)
-    for group in groups:
-        candidates: set = set()
-        for _, monomials, _ in group:
-            for _, family, args, read, repeated in monomials:
-                support = values[family]
-                if repeated:  # a variable in two slots binds only where they agree
-                    support = [slots for slots in support if args(read(slots)) == slots]
-                candidates.update(map(read, support))
-        for t in sorted(candidates):
-            for axiom, monomials, keep in group:
-                if keep and not keep(*t):
-                    continue
-                acc: dict = {}
-                for sign, family, args, _, _ in monomials:
-                    _add_scaled(acc, sign, values[family].get(args(t), _EMPTY))
-                if acc:  # a cell row sums D times the true values, a nested row D² times
-                    d = scale if monomials[0][1][0] == "cell" else scale * scale
-                    found.append((axiom, t, {k: Fraction(v, d) for k, v in acc.items()}))
+    values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, *f) for f in families}
+    found = []  # ((group, tuple, row), axiom, sparse residual)
+    for g, group in enumerate(groups):
+        for r, (axiom, (lead, *others), keep) in enumerate(group):
+            first = values[lead[1]]
+            if lead[3] or keep:
+                first = dict(_at_tuples(first, lead, keep))
+            scatter: dict = {}
+            for monomial in others:
+                c = -lead[0] * monomial[0]
+                for t, value in _at_tuples(values[monomial[1]], monomial, keep):
+                    _add_scaled(scatter.setdefault(t, {}), c, value)
+            scatter = {t: value for t, value in scatter.items() if value}  # drop where the others cancel
+            if first != scatter:  # the row sums sign·(first − scatter): D times the true value for cells, D² nested
+                d = lead[0] * (scale if lead[1][0] == "cell" else scale * scale)
+                for t in first.keys() | scatter.keys():
+                    if first.get(t) != scatter.get(t):  # neither side holds a zero, so they differ by one
+                        acc = dict(first.get(t, _EMPTY))
+                        _add_scaled(acc, -1, scatter.get(t, _EMPTY))
+                        found.append(((g, t, r), axiom, {k: Fraction(v, d) for k, v in acc.items()}))
     _check_dense(f"verify {variety}", "residuals", len(found), dim)
-    return VerificationReport(variety, tuple(Violation(axiom, tuple(i + 1 for i in t), _dense(dim, residual))
-                                          for axiom, t, residual in found))
+    found.sort(key=operator.itemgetter(0))
+    return VerificationReport._of(variety, tuple(Violation._of(axiom, tuple(i + 1 for i in t), _dense(dim, residual))
+                                              for (_, t, _), axiom, residual in found))
 
 
 def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
@@ -286,7 +303,8 @@ def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
     """
     if variety not in _VARIETY_GROUPS:
         raise ValueError(f"unknown variety: {variety!r}")
-    return _check(variety, a.dim, {"b": a.bracket}, _VARIETY_GROUPS[variety])
+    scale, (bracket,) = _integer_tables(a.bracket)
+    return _check(variety, a.dim, _VARIETY_GROUPS[variety], scale, {"b": bracket})
 
 
 def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
@@ -299,9 +317,9 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
     of (x,y,z) ↦ x{y,z} is reported as a derived check; with
     `symmetric=True` the stronger identity x{y,z} = 0 is required.
     """
-    groups = [g for g in _MU_GROUPS if symmetric or g[0][0] != "symmetric"]
-    tables = {"l": m.lie_bracket, "p": m.product}
-    return _check("mu-symmetric" if symmetric else "mu", m.dim, tables, groups)
+    variety = "mu-symmetric" if symmetric else "mu"
+    scale, (lie, prod) = _integer_tables(m.lie_bracket, m.product)
+    return _check(variety, m.dim, _MU_VARIETIES[variety], scale, {"l": lie, "p": prod})
 
 
 def _require_ok(report: VerificationReport, message: str):
@@ -312,14 +330,6 @@ def _require_ok(report: VerificationReport, message: str):
 
 # ---------------------------------------------------------------------------
 # conversions
-
-def _over_common_denominator(s: dict, t: dict):
-    """(k, x, y, n) with s[k] = x/n and t[k] = y/n, for every k of either cell."""
-    for k in s.keys() | t.keys():
-        u, w = s.get(k, _ZERO), t.get(k, _ZERO)
-        q, d = u.denominator, w.denominator
-        yield k, u.numerator * d, w.numerator * q, q * d
-
 
 class _Fractions(dict):
     """(numerator, denominator) -> the Fraction, each one made once: the
@@ -333,43 +343,44 @@ class _Fractions(dict):
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2.
 
-    Each unordered pair {i, j} is split once: (j, i) gets the negated
-    antisymmetric half and the same symmetric half.
+    The check and the split read one integer table, the bracket times D:
+    each half is (x ∓ y)/2D.  Each unordered pair {i, j} is split once:
+    (j, i) gets the negated antisymmetric half and the same symmetric half.
     """
-    _require_ok(verify_variety(a, "ronco"), "input does not satisfy the square-bracket identities")
+    scale, (table,) = _integer_tables(a.bracket)
+    _require_ok(_check("ronco", a.dim, _VARIETY_GROUPS["ronco"], scale, {"b": table}),
+                "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
     made = _Fractions()
-    for i, j in {(i, j) if i <= j else (j, i) for i, j in a.bracket}:
-        anti: dict = {}
-        swapped: dict = {}
-        sym: dict = {}
-        for k, x, y, n in _over_common_denominator(a.cell(i, j), a.cell(j, i)):
-            if x != y:
-                anti[k] = made[x - y, 2 * n]
-                swapped[k] = made[y - x, 2 * n]
-            if x != -y:
-                sym[k] = made[x + y, 2 * n]
+    for i, j in {(i, j) if i <= j else (j, i) for i, j in table}:
+        anti = dict(table.get((i, j), _EMPTY))
+        sym = dict(anti)
+        _add_scaled(anti, -1, table.get((j, i), _EMPTY))
+        _add_scaled(sym, 1, table.get((j, i), _EMPTY))
         if anti:  # never for i == j
-            lie[(i, j)] = anti
-            lie[(j, i)] = swapped
+            lie[(i, j)] = {k: made[x, 2 * scale] for k, x in anti.items()}
+            lie[(j, i)] = {k: made[-x, 2 * scale] for k, x in anti.items()}
         if sym:
-            prod[(i, j)] = sym
+            prod[(i, j)] = {k: made[x, 2 * scale] for k, x in sym.items()}
             if i != j:
-                prod[(j, i)] = dict(sym)  # no two cells share a dict
+                prod[(j, i)] = dict(prod[(i, j)])  # no two cells share a dict
     return MuAlgebra._of(a.dim, lie, prod)  # normalized: nonzero Fractions, no empty cells
 
 
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
-    """Recombine as [x,y] = {x,y} + xy."""
-    _require_ok(verify_mu(m), "input does not satisfy the bracket/product axioms")
+    """Recombine as [x,y] = {x,y} + xy: (l + p)/D on the tables times D
+    that the axiom check reads."""
+    scale, (lie, prod) = _integer_tables(m.lie_bracket, m.product)
+    _require_ok(_check("mu", m.dim, _MU_VARIETIES["mu"], scale, {"l": lie, "p": prod}),
+                "input does not satisfy the bracket/product axioms")
     bracket: dict = {}
     made = _Fractions()
-    for i, j in m.lie_bracket.keys() | m.product.keys():
-        cell = {k: made[x + y, n] for k, x, y, n
-                in _over_common_denominator(m.lie_cell(i, j), m.product_cell(i, j)) if x != -y}
+    for key in lie.keys() | prod.keys():
+        cell = dict(lie.get(key, _EMPTY))
+        _add_scaled(cell, 1, prod.get(key, _EMPTY))
         if cell:
-            bracket[(i, j)] = cell
+            bracket[key] = {k: made[x, scale] for k, x in cell.items()}
     return StructureAlgebra._of(m.dim, bracket)  # normalized: nonzero Fractions, no empty cells
 
 

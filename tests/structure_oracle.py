@@ -10,14 +10,22 @@ that closed the span of squares under both multiplications before taking
 the quotient; the closure never adds a vector to a Leibniz algebra's span.
 `split_bracket_by_halves` and `recombine_by_scaling` are the sparse
 conversions that scaled whole cells by ½ and by 1 through `_add_scaled`.
+
+`candidate_verify_variety` and `candidate_verify_mu` are the table-driven
+evaluator that came before the row-by-row one, with its own copy of the
+identity table: for each group of rows it collected the index tuples that
+some monomial's nonzero values reach, sorted them, and summed every row at
+every tuple in an accumulator of its own.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from typing import Callable
 
 from roncoalg.errors import NotInVarietyError
-from roncoalg.linalg import SpanBuilder
+from roncoalg.linalg import SpanBuilder, _check_dense, _dense
 from roncoalg.structure import (
     _EMPTY,
     MuAlgebra,
@@ -26,6 +34,7 @@ from roncoalg.structure import (
     Violation,
     _add_scaled,
     _ann_span,
+    _integer_tables,
 )
 
 
@@ -159,6 +168,128 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
                 _add_scaled(acc, Fraction(1), _act_left(prod, j, m.lie_cell(i, k)))
                 ch.require_zero("skew-action-polarized", (i, j, k), acc)
     return VerificationReport("mu-symmetric" if symmetric else "mu", tuple(ch.violations))
+
+
+# The identity table.  A row is (axiom, monomials, filter on the 0-based
+# indices).  Monomials are written over the tables b (the bracket), l and p
+# (bracket and product of a mu-algebra) and the variables i, j, k:
+#   +t(x,y)          the cell [e_x, e_y] of t
+#   +o(x,t(y,z))     [e_x, [e_y, e_z]], shape "left"
+#   +o(t(x,y),z)     [[e_x, e_y], e_z], shape "right"
+# A variable may repeat; every monomial of a row must use all its variables,
+# and a row is all cells or all nested monomials.  A group of rows is checked
+# in one pass over the index tuples, so that their violations interleave
+# tuple by tuple.  A monomial is (sign, (shape, outer, inner), args, read,
+# repeated): `args` reads its slots (x, y[, z]) off an index tuple, and `read`
+# reads the index tuple off the slots, each variable from its first slot
+# (a 1-tuple when there is one variable).
+
+def _row(axiom: str, text: str, keep: Callable | None = None) -> tuple:
+    monomials = []
+    for term in text.split():
+        sign, letters = (1 if term[0] == "+" else -1), [c for c in term if c.isalpha()]
+        if len(letters) == 3:
+            shape = ("cell", None, letters[0], letters[1:])
+        elif letters[1] in "ijk":
+            shape = ("left", letters[0], letters[2], letters[1:2] + letters[3:])
+        else:
+            shape = ("right", letters[0], letters[1], letters[2:])
+        slots = ["ijk".index(c) for c in shape[3]]
+        first = [slots.index(v) for v in range(max(slots) + 1)]
+        read = operator.itemgetter(*first) if len(first) > 1 else operator.itemgetter(slice(1))
+        monomials.append((sign, shape[:3], operator.itemgetter(*slots), read, len(first) < len(slots)))
+    if len({mono[1][0] == "cell" for mono in monomials}) > 1:
+        raise ValueError(f"row {axiom!r} mixes cell monomials with nested ones")
+    return axiom, monomials, keep
+
+
+_LEIBNIZ = [_row("leibniz", "+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)")]
+_VARIETY_GROUPS = {
+    "leibniz": [_LEIBNIZ],
+    "lie": [_LEIBNIZ, [_row("alternating", "+b(i,i)")],
+            [_row("antisymmetry", "+b(i,j) +b(j,i)", operator.lt)]],
+    "ronco": [_LEIBNIZ, [_row("polarized-square-bracket", "+b(b(i,j),k) +b(b(j,i),k)")],
+              [_row("square-bracket", "+b(b(i,i),j)")]],
+    "symmetric-leibniz": [_LEIBNIZ, [_row("right-leibniz", "+b(b(i,j),k) -b(i,b(j,k)) +b(j,b(i,k))")]],
+}
+_MU_GROUPS = [
+    [_row("commutative", "+p(i,j) -p(j,i)", operator.lt)],
+    [_row("triple-product-right", "+p(i,p(j,k))"), _row("triple-product-left", "+p(p(i,j),k)")],
+    [_row("bracket-alternating", "+l(i,i)")],
+    [_row("bracket-antisymmetry", "+l(i,j) +l(j,i)", operator.lt)],
+    [_row("product-bracket", "+l(p(i,j),k)")],
+    [_row("coupled-jacobi", "+l(i,l(j,k)) +l(k,l(i,j)) +l(j,l(k,i)) -p(i,l(j,k))")],
+    [_row("symmetric", "+p(i,l(j,k))")],  # only with symmetric=True
+    [_row("skew-action", "+p(i,l(i,j))")],
+    [_row("skew-action-polarized", "+p(i,l(j,k)) +p(j,l(i,k))")],
+]
+
+
+def _composites(tables: dict, partners: dict, shape: str, outer: str, inner: str) -> dict:
+    """{(x, y, z): value} for every nonzero o(x,t(y,z)) ("left") or o(t(x,y),z) ("right")."""
+    out: dict = {}
+    o = tables[outer]
+    for (x, y), cell in tables[inner].items():
+        for m, c in cell.items():
+            if shape == "left":
+                for a in partners.get((outer, 0, m), ()):
+                    _add_scaled(out.setdefault((a, x, y), {}), c, o[(a, m)])
+            else:
+                for z in partners.get((outer, 1, m), ()):
+                    _add_scaled(out.setdefault((x, y, z), {}), c, o[(m, z)])
+    return {key: value for key, value in out.items() if value}
+
+
+def _check(variety: str, dim: int, tables: dict, groups: list) -> VerificationReport:
+    """Evaluate each group of rows at the index tuples its nonzero values reach.
+
+    The tuples are visited in lexicographic order, so the violations come
+    out as a loop over all basis tuples would list them.
+    """
+    scale, scaled = _integer_tables(*tables.values())
+    tables = dict(zip(tables, scaled))
+    partners: dict = {}  # (table, 0, m) -> [a : (a, m) nonzero], (table, 1, m) -> [c : (m, c) nonzero]
+    for name, table in tables.items():
+        for a, c in table:
+            partners.setdefault((name, 0, c), []).append(a)
+            partners.setdefault((name, 1, a), []).append(c)
+    # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
+    families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
+    values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, partners, *f) for f in families}
+    found = []  # (axiom, tuple, sparse residual)
+    for group in groups:
+        candidates: set = set()
+        for _, monomials, _ in group:
+            for _, family, args, read, repeated in monomials:
+                support = values[family]
+                if repeated:  # a variable in two slots binds only where they agree
+                    support = [slots for slots in support if args(read(slots)) == slots]
+                candidates.update(map(read, support))
+        for t in sorted(candidates):
+            for axiom, monomials, keep in group:
+                if keep and not keep(*t):
+                    continue
+                acc: dict = {}
+                for sign, family, args, _, _ in monomials:
+                    _add_scaled(acc, sign, values[family].get(args(t), _EMPTY))
+                if acc:  # a cell row sums D times the true values, a nested row D² times
+                    d = scale if monomials[0][1][0] == "cell" else scale * scale
+                    found.append((axiom, t, {k: Fraction(v, d) for k, v in acc.items()}))
+    _check_dense(f"verify {variety}", "residuals", len(found), dim)
+    return VerificationReport(variety, tuple(Violation(axiom, tuple(i + 1 for i in t), _dense(dim, residual))
+                                          for axiom, t, residual in found))
+
+
+def candidate_verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
+    if variety not in _VARIETY_GROUPS:
+        raise ValueError(f"unknown variety: {variety!r}")
+    return _check(variety, a.dim, {"b": a.bracket}, _VARIETY_GROUPS[variety])
+
+
+def candidate_verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
+    groups = [g for g in _MU_GROUPS if symmetric or g[0][0] != "symmetric"]
+    tables = {"l": m.lie_bracket, "p": m.product}
+    return _check("mu-symmetric" if symmetric else "mu", m.dim, tables, groups)
 
 
 def split_bracket(a: StructureAlgebra) -> MuAlgebra:

@@ -170,6 +170,24 @@ def test_convert_rejects_non_ronco(tmp_path, capsys):
     assert "3 violation(s)" in out
 
 
+BAD_MU = """\
+{"dim": 2, "kind": "mu", "lie_bracket": [],
+ "product": [{"i": 1, "j": 1, "c": [{"k": 2, "v": "1"}]}, {"i": 2, "j": 1, "c": [{"k": 1, "v": "1/3"}]}]}
+"""
+
+
+@pytest.mark.parametrize("to, variety, text", [("mu", "ronco", BAD_LEIBNIZ), ("ronco", "mu", BAD_MU)])
+def test_convert_refuses_with_the_report_that_verify_prints(tmp_path, capsys, to, variety, text):
+    # the conversion checks the integer table it converts, so its refusal
+    # must list what `verify` lists for the same file
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["convert", "--to", to, str(path)])
+    assert (code, out) == (1, run(capsys, ["verify", "--variety", variety, str(path)])[1])
+    assert out.endswith(" violation(s)\n") and not out.startswith("0 ")
+    assert err.startswith("error: input does not satisfy")
+
+
 def printed(printer, violations) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -1,6 +1,10 @@
 """The table-driven identity checks and the sparse conversions, compared
-report for report with the dense loops kept in `structure_oracle`."""
+report for report with the dense loops kept in `structure_oracle`, and
+with the candidate-tuple evaluator kept there, also past the dense loops'
+reach; the cases where the row-by-row check filters, sorts or refuses."""
 
+import functools
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
-from basis_change import HEAVY_COEFFICIENTS, change_basis, invertible
+from basis_change import HEAVY_COEFFICIENTS, change_basis, invertible, signed_permutation_and_scaling
+from roncoalg.errors import NotInVarietyError
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import (
     MuAlgebra,
@@ -158,3 +163,113 @@ def test_triple_product_violations_interleave_per_tuple():
         ("triple-product-left", (2, 1, 1)),
         ("triple-product-right", (2, 2, 1)),
     ]
+
+
+# algebras past the dense oracle's reach, dimensions 10 to 21
+LARGE = [("truncate", 2, 4), ("truncate", 3, 3), ("truncate", 2, 5),
+         ("free_nil2", 4), ("free_nil2", 5), ("free_nil2", 6)]
+
+
+@functools.cache
+def large(recipe: tuple) -> StructureAlgebra:
+    return truncate_to_structure(*recipe[1:]) if recipe[0] == "truncate" else free_nil2(recipe[1])
+
+
+def perturbed(data, dim: int, table: dict) -> dict:
+    """`table` with one entry moved by a nonzero amount, so that rows fail."""
+    i, j, k = (data.draw(st.integers(0, dim - 1)) for _ in range(3))
+    out = {key: dict(cell) for key, cell in table.items()}
+    cell = out.setdefault((i, j), {})
+    cell[k] = cell.get(k, 0) + data.draw(COEFFICIENTS)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_rows_checked_whole_match_the_candidate_tuples_past_the_dense_reach(data):
+    # a ronco algebra in a random basis (GL_n(ℚ) up to dimension 12, the
+    # benchmark's signed permutation and scaling beyond: GL_n fills the
+    # table), then one perturbed cell; its μ split, with one perturbed cell
+    a = large(data.draw(st.sampled_from(LARGE)))
+    if a.dim <= 12 and data.draw(st.booleans()):
+        a = change_basis(a, data.draw(invertible(a.dim)))
+    else:
+        a = signed_permutation_and_scaling(a, data.draw(st.integers(0, 2**32)), (1, 2, 3, 5), (1, 2, 3, 7))
+    m = ronco_to_mu(a)
+    a = StructureAlgebra(a.dim, perturbed(data, a.dim, a.bracket))
+    for variety in VARIETIES:
+        assert exact(verify_variety(a, variety)) == oracle.candidate_verify_variety(a, variety)
+    if data.draw(st.booleans()):
+        m = MuAlgebra(m.dim, perturbed(data, m.dim, m.lie_bracket), m.product)
+    else:
+        m = MuAlgebra(m.dim, m.lie_bracket, perturbed(data, m.dim, m.product))
+    for symmetric in (False, True):
+        assert exact(verify_mu(m, symmetric)) == oracle.candidate_verify_mu(m, symmetric)
+
+
+def same_as_the_oracles(report, algebra, *args):
+    """`report`, after checking it equals both oracles' reports."""
+    if isinstance(algebra, MuAlgebra):
+        assert exact(report) == oracle.candidate_verify_mu(algebra, *args) == oracle.verify_mu(algebra, *args)
+    else:
+        assert exact(report) == oracle.candidate_verify_variety(algebra, *args) == oracle.verify_variety(algebra, *args)
+    return report
+
+
+def test_two_rows_of_one_group_fail_at_the_same_tuple():
+    # e1·e1 = e1: e1·(e1·e1) and (e1·e1)·e1 are both e1, reported in row order
+    m = MuAlgebra(1, product={(0, 0): {0: ONE}})
+    assert listing(same_as_the_oracles(verify_mu(m), m)) == [
+        ("triple-product-right", (1, 1, 1)), ("triple-product-left", (1, 1, 1))]
+
+
+def test_a_later_group_fails_at_an_earlier_tuple():
+    # [e1,e1] = e2 and [e2,e2] = e2: every Leibniz violation comes before the
+    # alternating ones, though (1,) sorts before each Leibniz tuple
+    a = StructureAlgebra(2, {(0, 0): {1: ONE}, (1, 1): {1: ONE}})
+    assert listing(same_as_the_oracles(verify_variety(a, "lie"), a, "lie")) == [
+        ("leibniz", (1, 1, 2)), ("leibniz", (1, 2, 1)), ("leibniz", (2, 1, 1)), ("leibniz", (2, 2, 2)),
+        ("alternating", (1,)), ("alternating", (2,))]
+
+
+FILTERED_FIRST_MONOMIALS = {
+    # axiom: (algebra, verify arguments, the tuples it fails at); in each, the
+    # first monomial's family has values at tuples the row must not read
+    "antisymmetry": (StructureAlgebra(3, {(0, 1): {2: ONE}, (1, 0): {2: -ONE}, (0, 2): {1: ONE}, (2, 0): {1: ONE}}),
+                     ("lie",), [(1, 3)]),
+    "commutative": (MuAlgebra(4, product={(0, 1): {3: ONE}, (1, 0): {3: ONE}, (0, 2): {3: ONE}, (2, 0): {3: -ONE}}),
+                    (), [(1, 3)]),
+    "alternating": (StructureAlgebra(3, {(0, 1): {2: ONE}, (1, 0): {2: -ONE}, (1, 1): {0: ONE}}),
+                    ("lie",), [(2,)]),
+    "square-bracket": (StructureAlgebra(3, {(0, 1): {2: ONE}, (0, 0): {2: ONE}, (2, 0): {1: ONE}}),
+                       ("ronco",), [(1, 1)]),
+    "skew-action": (MuAlgebra(4, lie_bracket={(0, 1): {2: ONE}, (1, 0): {2: -ONE}},
+                              product={(0, 2): {3: ONE}, (2, 0): {3: ONE}, (1, 2): {3: ONE}, (2, 1): {3: ONE}}),
+                    (), [(1, 2), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(FILTERED_FIRST_MONOMIALS))
+def test_first_monomials_that_need_filtering(axiom):
+    algebra, args, tuples = FILTERED_FIRST_MONOMIALS[axiom]
+    report = verify_mu(algebra) if isinstance(algebra, MuAlgebra) else verify_variety(algebra, *args)
+    assert [t for name, t in listing(same_as_the_oracles(report, algebra, *args)) if name == axiom] == tuples
+
+
+def test_conversions_refuse_with_the_report_that_verify_gives():
+    a = StructureAlgebra(2, {(0, 0): {1: ONE}, (1, 0): {0: ONE}})
+    m = MuAlgebra(2, product={(0, 0): {1: ONE}, (1, 0): {0: ONE}})
+    for convert, report in ((ronco_to_mu, verify_variety(a, "ronco")), (mu_to_ronco, verify_mu(m))):
+        with pytest.raises(NotInVarietyError) as info:
+            convert(a if convert is ronco_to_mu else m)
+        assert not report.ok
+        assert info.value.report == report
+
+
+def test_an_empty_algebra_of_dimension_100000_verifies_at_once():
+    a, m = StructureAlgebra(100_000), MuAlgebra(100_000)
+    start = time.perf_counter()
+    reports = [verify_variety(a, variety) for variety in VARIETIES] + [verify_mu(m, s) for s in (False, True)]
+    assert ronco_to_mu(a) == m and mu_to_ronco(m) == a
+    assert time.perf_counter() - start < 1
+    assert all(report.ok for report in reports)
