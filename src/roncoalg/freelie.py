@@ -52,8 +52,9 @@ def is_lyndon(word: Word) -> bool:
 
 
 def format_word(word: Word, alphabet_size: int | None = None) -> str:
-    """"112" for single-digit alphabets, "1.10.2" once indices exceed 9."""
-    wide = (alphabet_size or max(word)) > 9
+    """"112" for single-digit alphabets, "1.10.2" once indices exceed 9;
+    "" for the empty word."""
+    wide = (alphabet_size or max(word, default=0)) > 9
     sep = "." if wide else ""
     return sep.join(str(a) for a in word)
 
@@ -221,7 +222,7 @@ def rewrite_to_lyndon(t: LinComb) -> LinComb:
         word = min(work, key=word_sort_key)
         if not is_lyndon(word):
             raise NotLieElementError(
-                f"residual tensor term {format_word(word)} has no Lyndon leading word"
+                f"residual tensor term {format_word(word) or '() (the empty word)'} has no Lyndon leading word"
             )
         c = work[word]
         _add_scaled(work, -c, _expand_word(word).coeffs)  # clears word: its coefficient is 1

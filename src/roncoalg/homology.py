@@ -12,10 +12,12 @@ lexicographic; symmetric-square keys i ≤ j in lexicographic order; m⊗x
 chains put the module factor first, so they index like the tensor square.
 
 Each functor only builds sparse chain data; three helpers do the rest.
+All four read the bracket table times D, the lcm of its denominators, that
+the variety precondition (`_require`, through `structure._require_ok`)
+checked and hands on, so their chain data are `int` vectors; scaling every
+vector by D changes no span, kernel or RREF, so no report changes.
 `_quotient` (hl1, hr0) spans the relations once and keeps the basis
-vectors off the pivot columns; its relations are `int` vectors, read off
-the bracket table times the lcm of its denominators
-(`structure._integer_tables`), and hr0 builds x⊙[y,z] − [x,y]⊙z only for
+vectors off the pivot columns; hr0 builds x⊙[y,z] − [x,y]⊙z only for
 the basis triples whose cell [y,z] is nonzero, which span the same
 relations (see `hr0`).  `_leibniz_complex` (hl2, h1_adjoint)
 builds Loday's d(x⊗y⊗z) over the triples it is given; on a Lie algebra
@@ -43,7 +45,7 @@ from .errors import InternalError, RoncoError
 from .lincomb import Record, _add_scaled, _extend_linearly
 # MAX_DENSE_ENTRIES stays importable from here; the budget is read in linalg
 from .linalg import MAX_DENSE_ENTRIES, SpanBuilder, _check_dense, _dense, _span
-from .structure import _EMPTY, StructureAlgebra, _integer_tables, _require_ok, basis_vector, verify_variety
+from .structure import _EMPTY, StructureAlgebra, _require_ok, basis_vector
 
 
 class HomologyReport(Record):
@@ -62,10 +64,12 @@ class HomologyReport(Record):
 MAX_CHAIN_DIM = 10_000
 
 
-def _require(a: StructureAlgebra, variety: str, op: str, chain_dim: int):
+def _require(a: StructureAlgebra, variety: str, op: str, chain_dim: int) -> dict:
+    """The bracket table times D that the variety precondition checked."""
     if chain_dim > MAX_CHAIN_DIM:
         raise RoncoError(f"the chain dimension of {op} ({chain_dim}) exceeds the limit of {MAX_CHAIN_DIM}")
-    _require_ok(verify_variety(a, variety), f"{op} needs an algebra in the {variety} variety")
+    _, (table,) = _require_ok(a, variety, f"{op} needs an algebra in the {variety} variety")
+    return table
 
 
 def _invariant(holds: bool, message: str):
@@ -106,32 +110,34 @@ def _homology(op: str, columns: list[dict], boundaries: Iterable[dict]) -> Homol
 
 def hl1(a: StructureAlgebra) -> HomologyReport:
     """Abelianization 𝔤/[𝔤,𝔤]; representatives are surviving basis vectors."""
-    _require(a, "leibniz", "hl1", a.dim)
-    _, (table,) = _integer_tables(a.bracket)
-    return _quotient("hl1", a.dim, table.values())
+    return _quotient("hl1", a.dim, _require(a, "leibniz", "hl1", a.dim).values())
 
 
-def _leibniz_complex(op: str, a: StructureAlgebra, triples: Iterable[tuple]) -> HomologyReport:
+def _leibniz_complex(op: str, n: int, table: dict, triples: Iterable[tuple]) -> HomologyReport:
     """H₂ of Loday's complex 𝔤⊗³ → 𝔤⊗² → 𝔤, boundaries taken over `triples`.
 
     Column i·n+j of ∂ is [e_i,e_j]; d(i⊗j⊗k) = [i,j]⊗k − [i,k]⊗j − i⊗[j,k].
+    Both are read off `table`, the bracket times D that the precondition
+    checked, so they are `int` vectors, each D times the true one: ∂'s
+    kernel, the span of the boundaries and every RREF are those of ℚ.
     """
-    n = a.dim
+    def cell(i: int, j: int) -> dict:
+        return table.get((i, j), _EMPTY)
 
     def boundary(i: int, j: int, k: int) -> dict:
-        col = {m * n + k: c for m, c in a.cell(i, j).items()}
-        _add_scaled(col, -1, {m * n + j: c for m, c in a.cell(i, k).items()})
-        _add_scaled(col, -1, {i * n + m: c for m, c in a.cell(j, k).items()})
+        col = {m * n + k: c for m, c in cell(i, j).items()}
+        _add_scaled(col, -1, {m * n + j: c for m, c in cell(i, k).items()})
+        _add_scaled(col, -1, {i * n + m: c for m, c in cell(j, k).items()})
         return col
 
-    return _homology(op, [a.cell(i, j) for i, j in product(range(n), repeat=2)],
+    return _homology(op, [cell(i, j) for i, j in product(range(n), repeat=2)],
                      (boundary(i, j, k) for i, j, k in triples))
 
 
 def hl2(a: StructureAlgebra) -> HomologyReport:
     """Kernel of the bracket on 𝔤⊗𝔤 modulo boundaries from 𝔤⊗³."""
-    _require(a, "leibniz", "hl2", a.dim * a.dim)
-    return _leibniz_complex("hl2", a, product(range(a.dim), repeat=3))
+    table = _require(a, "leibniz", "hl2", a.dim * a.dim)
+    return _leibniz_complex("hl2", a.dim, table, product(range(a.dim), repeat=3))
 
 
 def hr0(a: StructureAlgebra) -> HomologyReport:
@@ -151,11 +157,10 @@ def hr0(a: StructureAlgebra) -> HomologyReport:
     """
     n = a.dim
     size = n * (n + 1) // 2
-    _require(a, "lie", "hr0", size)
+    table = _require(a, "lie", "hr0", size)
     sym = [[0] * n for _ in range(n)]  # sym[p][q]: the index of e_p⊙e_q, keys p ≤ q in order
     for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
         sym[p][q] = sym[q][p] = t
-    _, (table,) = _integer_tables(a.bracket)
     cells = sorted(table.items())
 
     def relation(i: int, k: int, cell: dict, left: dict) -> dict:
@@ -180,7 +185,7 @@ def h1_adjoint(a: StructureAlgebra) -> HomologyReport:
     Negating columns or boundaries changes neither span nor RREF, so the
     report, representatives included, is that of `hl2`.
     """
-    _require(a, "lie", "h1_adjoint", a.dim * a.dim)
+    table = _require(a, "lie", "h1_adjoint", a.dim * a.dim)
     n = a.dim
-    return _leibniz_complex("h1_adjoint", a,
+    return _leibniz_complex("h1_adjoint", n, table,
                             ((m, x, y) for m in range(n) for x in range(n) for y in range(x + 1, n)))

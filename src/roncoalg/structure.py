@@ -13,18 +13,20 @@ The identities are rows of one table, each a signed sum of bracket
 monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; a variety is
 a list of rows in `_VARIETY_GROUPS`.  One evaluator reads only the nonzero
 values, so the cost follows the nonzero cells, not dim³.  It computes in
-`int`s on the tables times D, the lcm of all their denominators
-(`_integer_tables`, which `homology` uses too), and builds every composite
-such as [[e_x,e_y],e_z] once per call, shared by all rows.  Each row is
-checked whole: its first monomial's values, keyed by index tuple, must
-equal the other monomials' values scattered onto the same tuples, one dict
-comparison; only a row that fails is summed, at the tuples where the two
-differ.  A row is all cells or all nested monomials, so its sum is D or D²
-times the true value; a violation's residual is that sum divided back, the
-exact tuple of Fractions.  The residuals are made dense only within the
-budget `linalg.MAX_DENSE_ENTRIES`; more raise RoncoError before any of them
-is.  The conversions share the check's integer table: each reads the
-tables times D that its check read, and divides D back once per entry.
+`int`s on the tables times D, the lcm of all their denominators, which
+`_check`, the one caller of `_integer_tables`, makes once per call; it
+builds every composite such as [[e_x,e_y],e_z] once per call, shared by
+all rows.  Each row is checked whole: its first monomial's values, keyed
+by index tuple, must equal the other monomials' values scattered onto the
+same tuples, one dict comparison; only a row that fails is summed, at the
+tuples where the two differ.  A row is all cells or all nested monomials,
+so its sum is D or D² times the true value; a violation's residual is that
+sum divided back, the exact tuple of Fractions.  The residuals are made
+dense only within the budget `linalg.MAX_DENSE_ENTRIES`; more raise
+RoncoError before any of them is.  The variety precondition, `_require_ok`,
+hands the tables times D it checked to its caller: the conversions read
+them and divide D back once per entry, and `homology` builds its chain
+data from them.
 """
 
 from __future__ import annotations
@@ -256,8 +258,10 @@ def _at_tuples(values: dict, monomial: tuple, keep: Callable | None):
     return [(t, v) for t, slots, v in pairs if (not repeated or args(t) == slots) and (keep is None or keep(*t))]
 
 
-def _check(variety: str, dim: int, groups: list, scale: int, tables: dict) -> VerificationReport:
-    """Check every row on `tables`, the algebra's tables times D (`scale`).
+def _check(x: StructureAlgebra | MuAlgebra, variety: str) -> tuple[VerificationReport, int, list[dict]]:
+    """(report, D, the tables times D): the one place where an algebra's
+    integer table is made; every row of the variety is checked on it, and it
+    is handed on to the caller.
 
     A row holds when its first monomial's values, keyed by index tuple, equal
     Σ −sign·(each other monomial) scattered onto the same tuples: one dict
@@ -265,6 +269,10 @@ def _check(variety: str, dim: int, groups: list, scale: int, tables: dict) -> Ve
     where the two sides differ.  The violations are sorted by group, tuple
     and row, as a loop over all basis tuples would list them.
     """
+    mu = variety in _MU_VARIETIES
+    scale, scaled = _integer_tables(*((x.lie_bracket, x.product) if mu else (x.bracket,)))
+    tables = dict(zip("lp" if mu else "b", scaled))
+    groups = (_MU_VARIETIES if mu else _VARIETY_GROUPS)[variety]
     # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
     families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
     values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, *f) for f in families}
@@ -287,10 +295,10 @@ def _check(variety: str, dim: int, groups: list, scale: int, tables: dict) -> Ve
                         acc = dict(first.get(t, _EMPTY))
                         _add_scaled(acc, -1, scatter.get(t, _EMPTY))
                         found.append(((g, t, r), axiom, {k: Fraction(v, d) for k, v in acc.items()}))
-    _check_dense(f"verify {variety}", "residuals", len(found), dim)
+    _check_dense(f"verify {variety}", "residuals", len(found), x.dim)
     found.sort(key=operator.itemgetter(0))
-    return VerificationReport._of(variety, tuple(Violation._of(axiom, tuple(i + 1 for i in t), _dense(dim, residual))
-                                              for (_, t, _), axiom, residual in found))
+    return VerificationReport._of(variety, tuple(Violation._of(axiom, tuple(i + 1 for i in t), _dense(x.dim, residual))
+                                              for (_, t, _), axiom, residual in found)), scale, scaled
 
 
 def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
@@ -303,8 +311,7 @@ def verify_variety(a: StructureAlgebra, variety: str) -> VerificationReport:
     """
     if variety not in _VARIETY_GROUPS:
         raise ValueError(f"unknown variety: {variety!r}")
-    scale, (bracket,) = _integer_tables(a.bracket)
-    return _check(variety, a.dim, _VARIETY_GROUPS[variety], scale, {"b": bracket})
+    return _check(a, variety)[0]
 
 
 def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
@@ -317,15 +324,16 @@ def verify_mu(m: MuAlgebra, symmetric: bool = False) -> VerificationReport:
     of (x,y,z) ↦ x{y,z} is reported as a derived check; with
     `symmetric=True` the stronger identity x{y,z} = 0 is required.
     """
-    variety = "mu-symmetric" if symmetric else "mu"
-    scale, (lie, prod) = _integer_tables(m.lie_bracket, m.product)
-    return _check(variety, m.dim, _MU_VARIETIES[variety], scale, {"l": lie, "p": prod})
+    return _check(m, "mu-symmetric" if symmetric else "mu")[0]
 
 
-def _require_ok(report: VerificationReport, message: str):
-    """The one variety precondition: refuse, with the report, unless it is ok."""
+def _require_ok(x: StructureAlgebra | MuAlgebra, variety: str, message: str) -> tuple[int, list[dict]]:
+    """The one variety precondition: refuse, with the report, unless `x` is
+    in the variety; otherwise hand on (D, the tables times D) it checked."""
+    report, scale, tables = _check(x, variety)
     if not report.ok:
         raise NotInVarietyError(message, report)
+    return scale, tables
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +355,7 @@ def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     each half is (x ∓ y)/2D.  Each unordered pair {i, j} is split once:
     (j, i) gets the negated antisymmetric half and the same symmetric half.
     """
-    scale, (table,) = _integer_tables(a.bracket)
-    _require_ok(_check("ronco", a.dim, _VARIETY_GROUPS["ronco"], scale, {"b": table}),
-                "input does not satisfy the square-bracket identities")
+    scale, (table,) = _require_ok(a, "ronco", "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
     made = _Fractions()
@@ -371,9 +377,7 @@ def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
     """Recombine as [x,y] = {x,y} + xy: (l + p)/D on the tables times D
     that the axiom check reads."""
-    scale, (lie, prod) = _integer_tables(m.lie_bracket, m.product)
-    _require_ok(_check("mu", m.dim, _MU_VARIETIES["mu"], scale, {"l": lie, "p": prod}),
-                "input does not satisfy the bracket/product axioms")
+    scale, (lie, prod) = _require_ok(m, "mu", "input does not satisfy the bracket/product axioms")
     bracket: dict = {}
     made = _Fractions()
     for key in lie.keys() | prod.keys():
@@ -417,7 +421,7 @@ def lie_quotient(a: StructureAlgebra) -> StructureAlgebra:
     coordinates (so its basis is a subset of the input basis, in order)
     and satisfies the Lie identities.
     """
-    _require_ok(verify_variety(a, "leibniz"), "lie_quotient needs a Leibniz algebra")
+    _require_ok(a, "leibniz", "lie_quotient needs a Leibniz algebra")
     sb = _ann_span(a)
     pivots = set(sb.pivot_columns())
     kept = [i for i in range(a.dim) if i not in pivots]

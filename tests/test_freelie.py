@@ -140,6 +140,14 @@ def test_rewrite_rejects_non_lie_tensors():
         rewrite_to_lyndon(LinComb.basis((2, 1)))
 
 
+def test_rewrite_names_the_empty_word():
+    # the empty word is no Lie element; it is cleared first, and its name is no crash
+    with pytest.raises(NotLieElementError, match=r"term \(\) \(the empty word\) has no Lyndon"):
+        rewrite_to_lyndon(LinComb({(): 1}))
+    with pytest.raises(NotLieElementError, match=r"the empty word"):
+        rewrite_to_lyndon(LinComb({(): 2, (1,): 1, (1, 2): -1}))
+
+
 def test_rewrite_clears_shorter_words_first():
     # 111 < 21 lexicographically, but the shorter word is cleared (and named) first
     with pytest.raises(NotLieElementError, match=r"term 21 "):
@@ -229,6 +237,7 @@ def test_word_formatting():
     assert format_word((1, 1, 2), 2) == "112"
     assert format_word((1, 10, 2)) == "1.10.2"
     assert format_word((1, 2), 12) == "1.2"
+    assert format_word(()) == format_word((), 3) == ""
     assert parse_word("112") == (1, 1, 2)
     assert parse_word("1.10.2") == (1, 10, 2)
     with pytest.raises(ValueError):

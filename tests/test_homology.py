@@ -217,10 +217,13 @@ def test_hr0_values():
 
 def test_closed_forms_of_the_finite_families():
     # dim HL₂(free_nil2(k)) = k(k²+1)/2, dim HR₀(free_nil2(k)) = (k³+5k)/6 and
-    # dim HL₂(truncate(d, 2)) = d³, as measured for the per-partition homology
+    # dim HL₂(truncate(d, 2)) = d³, as measured for the per-partition homology;
+    # dim HL₂(truncate(d, 3)) for d ≤ 4 (algebra dimensions 2, 8, 21, 44), the
+    # first values a per-content hl2 must reproduce
     assert [hl2(free_nil2(k)).dimension for k in range(1, 7)] == [k * (k * k + 1) // 2 for k in range(1, 7)]
     assert [hr0(free_nil2(k)).dimension for k in range(1, 9)] == [(k**3 + 5 * k) // 6 for k in range(1, 9)]
     assert [hl2(truncate_to_structure(d, 2)).dimension for d in range(1, 6)] == [d**3 for d in range(1, 6)]
+    assert [hl2(truncate_to_structure(d, 3)).dimension for d in range(1, 5)] == [1, 10, 45, 136]
     assert [k * (k * k + 1) // 2 for k in range(1, 7)] == [1, 5, 15, 34, 65, 111]
     assert [(k**3 + 5 * k) // 6 for k in range(1, 9)] == [1, 3, 7, 14, 25, 41, 63, 92]
 

@@ -87,19 +87,33 @@ SPARSE_LIE = (
     lambda: lie_quotient(truncate_to_structure(4, 2)),
 )
 # Mersenne primes past 2⁶⁴: every entry of a scaled table keeps one of them
-# in its denominator, so hr0 and hl1 span integers of several machine words
+# in its denominator, so every functor spans integers of several machine
+# words: hr0's and hl1's relations, and Loday's columns and boundaries
 PRIME_DENOMINATORS = (2**89 - 1, 2**107 - 1, 2**127 - 1)
 
 
-@pytest.mark.parametrize("index", range(len(SPARSE_LIE)))
-def test_hr0_and_hl1_match_oracle_on_sparse_lie_algebras(index):
+def sparse_bases(index: int):
+    """(seed, the sparse Lie algebra in that seed's signed-permutation basis)."""
     a = SPARSE_LIE[index]()
     for seed in range(12):
         b = signed_permutation_and_scaling(a, seed, (1, 2, 3, 5), PRIME_DENOMINATORS)
         assert _integer_tables(b.bracket)[0] > 2**64
         assert len(b.bracket) == len(a.bracket) < a.dim * a.dim
+        yield seed, b
+
+
+@pytest.mark.parametrize("index", range(len(SPARSE_LIE)))
+def test_hr0_and_hl1_match_oracle_on_sparse_lie_algebras(index):
+    for seed, b in sparse_bases(index):
         assert hr0(b) == oracle.hr0(b), seed
         assert hl1(b) == oracle.hl1(b), seed
+
+
+@pytest.mark.parametrize("index", range(len(SPARSE_LIE)))
+def test_hl2_and_h1_adjoint_match_oracle_on_sparse_lie_algebras(index):
+    for seed, b in sparse_bases(index):
+        assert hl2(b) == oracle.hl2(b), seed
+        assert h1_adjoint(b) == oracle.h1_adjoint(b), seed
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,12 @@
 bracket/product conversions, squares and the Lie quotient."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from roncoalg import linalg
+from roncoalg import homology, linalg, structure
 from roncoalg.errors import NotInVarietyError, RoncoError
 from roncoalg.linalg import SpanBuilder
 from roncoalg.ronco import truncate_to_structure
@@ -359,3 +360,38 @@ def test_integer_tables_scale_by_the_lcm_of_all_denominators():
             assert all(type(v) is int and v == cell[k] * scale for k, v in ints[key].items())
     assert _integer_tables({}) == (1, [{}])
     assert _integer_tables(free_nil2(3).bracket)[0] == 1
+
+
+def test_each_call_converts_its_table_once(monkeypatch):
+    # the variety precondition makes the integer table and hands it on, so no
+    # caller converts the same table a second time; every loaded roncoalg
+    # module that holds `_integer_tables` gets the counting wrapper
+    calls = []
+    original = structure._integer_tables
+
+    def counted(*tables):
+        calls.append(tables)
+        return original(*tables)
+
+    for name, module in list(sys.modules.items()):
+        if name == "roncoalg" or name.startswith("roncoalg."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    lie, ronco = free_nil2(3), truncate_to_structure(2, 3)
+    mu = ronco_to_mu(ronco)
+    cases = {
+        "hl1": lambda: homology.hl1(lie),
+        "hl2": lambda: homology.hl2(lie),
+        "hr0": lambda: homology.hr0(lie),
+        "h1_adjoint": lambda: homology.h1_adjoint(lie),
+        "ronco_to_mu": lambda: ronco_to_mu(ronco),
+        "mu_to_ronco": lambda: mu_to_ronco(mu),
+        "lie_quotient": lambda: lie_quotient(ronco),
+        "verify_variety": lambda: verify_variety(ronco, "ronco"),
+        "verify_mu": lambda: verify_mu(mu),
+    }
+    for name, call in cases.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name
