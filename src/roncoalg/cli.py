@@ -20,6 +20,7 @@ from . import jsonio, leibniz, ronco
 from .errors import NotInVarietyError, RoncoError
 from .freelie import DEFAULT_MAX_DEGREE, format_word, lyndon_words, witt_dim, word_sort_key
 from .lincomb import format_lincomb
+from .linalg import _ZERO
 from .structure import (
     MuAlgebra, StructureAlgebra, free_nil2, mu_to_ronco, ronco_to_mu, verify_mu, verify_variety,
 )
@@ -74,9 +75,10 @@ def _load_algebra(path: str, kind: str, needed_by: str) -> StructureAlgebra | Mu
 
 def _print_violations(violations):
     """One line per violation, then the count, in one write.  Every residual
-    entry is a normalized Fraction, whose str is `format_rational`'s text."""
+    entry is a normalized Fraction, whose str is `format_rational`'s text;
+    the zero that `linalg._dense` fills with is skipped by identity."""
     lines = [f"violation: {v.axiom} at ({','.join(map(str, v.indices))}): "
-             + " ".join([f"e{k}:{c}" for k, c in enumerate(v.residual, 1) if c]) + "\n"
+             + " ".join([f"e{k}:{c}" for k, c in enumerate(v.residual, 1) if c is not _ZERO and c]) + "\n"
              for v in violations]
     lines.append(f"{len(violations)} violation(s)\n")
     sys.stdout.write("".join(lines))

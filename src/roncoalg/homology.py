@@ -12,10 +12,11 @@ lexicographic; symmetric-square keys i ≤ j in lexicographic order; m⊗x
 chains put the module factor first, so they index like the tensor square.
 
 Each functor only builds sparse chain data; three helpers do the rest.
-All four read the bracket table times D, the lcm of its denominators, that
-the variety precondition (`_require`, through `structure._require_ok`)
-checked and hands on, so their chain data are `int` vectors; scaling every
-vector by D changes no span, kernel or RREF, so no report changes.
+All four read the algebra's integer form, the bracket table times a common
+denominator D, made once per algebra, that the variety precondition
+(`_require`, through `structure._require_ok`) checked and hands on, so
+their chain data are `int` vectors; scaling every vector by D changes no
+span, kernel or RREF, so no report changes.
 `_quotient` (hl1, hr0) spans the relations once and keeps the basis
 vectors off the pivot columns; hr0 builds x⊙[y,z] − [x,y]⊙z only for
 the basis triples whose cell [y,z] is nonzero, which span the same
@@ -145,8 +146,8 @@ def hr0(a: StructureAlgebra) -> HomologyReport:
 
     The relations R(i,j,k) = e_i⊙[e_j,e_k] − [e_i,e_j]⊙e_k are built only
     for the triples whose cell (j,k) is nonzero, i outer and the cells
-    sorted, from the bracket table times the lcm of its denominators, so
-    they are `int` vectors.  The skipped ones lie in the span of the kept:
+    sorted, from the bracket table times a common denominator, so they are
+    `int` vectors.  The skipped ones lie in the span of the kept:
     for any bilinear bracket R(i,j,k) + R(k,i,j) + R(j,k,i) = 0, as ⊙ is
     commutative.  If [e_j,e_k] = 0, then R(i,j,k) = −[e_i,e_j]⊙e_k, which
     is zero when [e_i,e_j] = 0; otherwise R(k,i,j) is kept, and

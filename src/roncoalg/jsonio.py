@@ -15,29 +15,28 @@ schemas (`dumps_algebra`, `dumps_graded_kernel`); homology reports still
 build plain objects and go through `dumps_canonical`, which prints the same
 layout with the standard library's encoder.
 
-Reading is one pass over the rows and entries (`_rows_to_table`), with one
-message per malformed part, checked in a fixed order.  It parses each
-distinct coefficient string once per load, drops zero values and empty
-cells, and refuses an index given twice even when its value or cell is
-empty.  The tables come out normalized, as the algebra constructors'
-`_normalize_table` would leave them, so they are adopted through
-`Record._of` and not checked a second time.
+An algebra is read into and written from its integer form (see
+`structure._Algebra`), so no Fraction table is made on the way.  Reading is
+one pass over the rows and entries (`_rows_to_table`), with one message per
+malformed part, checked in a fixed order; it refuses an index given twice
+even when its value or cell is empty, and parses each distinct coefficient
+string once.  `_integer_form` then gives the form that `_integer_tables`
+makes of the normalized tables, which is adopted without a second check.
+Writing formats each distinct `int` once per call.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .freelie import format_word
-from .linalg import format_rational, parse_rational
+from .linalg import _rational_pair, format_rational
 from .lincomb import LinComb
 from .ronco import key_sort_key
 from .structure import MuAlgebra, StructureAlgebra
-
-_ZERO = Fraction(0)  # what every zero coefficient string maps to, so a zero is told by identity
 
 
 def dumps_canonical(obj) -> str:
@@ -48,10 +47,9 @@ def dumps_canonical(obj) -> str:
 # structure-constant algebras
 
 # The one fixed schema, written from templates, because `json.dumps` with
-# an indent runs CPython's pure-Python encoder.  Every value is a normalized
-# Fraction, whose str is `format_rational`'s "p" or "p/q", and every dim and
-# index is an int (the constructors check both), so `%d` and `%s` print the
-# bytes `dumps_canonical` would.
+# an indent runs CPython's pure-Python encoder.  Every dim and index is an
+# int, and every value is written in lowest terms as `format_rational`
+# writes it, so `%d` and `%s` print the bytes `dumps_canonical` would.
 _LEIBNIZ = '{\n  "dim": %d,\n  "kind": "leibniz",\n  "bracket": %s\n}\n'
 _MU = '{\n  "dim": %d,\n  "kind": "mu",\n  "lie_bracket": %s,\n  "product": %s\n}\n'
 _ROW = '\n    {\n      "i": %d,\n      "j": %d,\n      "c": [%s\n      ]\n    }'
@@ -63,60 +61,84 @@ def _list_text(items: list, indent: str) -> str:
     return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-def _rows_text(table: dict) -> str:
+class _Texts(dict):
+    """x -> the text of x/D in lowest terms, "p" or "p/q", each written once per call."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> str:
+        g = gcd(x, self.scale)
+        text = self[x] = str(x // g) if g == self.scale else f"{x // g}/{self.scale // g}"
+        return text
+
+
+def _rows_text(table: dict, texts: _Texts) -> str:
     return _list_text([
-        _ROW % (i + 1, j + 1, ",".join([_ENTRY % (k + 1, v) for k, v in sorted(table[i, j].items())]))
+        _ROW % (i + 1, j + 1, ",".join([_ENTRY % (k + 1, texts[x]) for k, x in sorted(table[i, j].items())]))
         for i, j in sorted(table)
     ], "  ")
 
 
 def _rows_to_table(rows, dim: int, what: str, values: dict) -> dict:
-    """The normalized table of `rows`, checked in one pass over the entries.
+    """The table of `rows`, its cells holding coefficient strings, checked
+    in one pass over the entries.
 
-    Each distinct coefficient string is parsed once, through `values`
-    (string -> Fraction), which the caller shares between the tables of one
-    load.  Zero values and empty cells are dropped, but still take their
-    index, so a repeated one is refused like any other.
+    Each distinct coefficient string is parsed once, into `values` (string
+    -> (p, q) in lowest terms), which the caller shares between the tables
+    of one load.
+    Zero values and empty cells stay, so a repeated index is refused like
+    any other, and `_integer_form` drops them.
     """
     if not isinstance(rows, list):
         raise ValueError(f"{what} must be a list of rows")
     table: dict = {}
-    emptied = False  # some cell was empty or all zeros, and is in `table` for now
     for row in rows:
         if not (isinstance(row, dict) and "i" in row and "j" in row and "c" in row):
             raise ValueError(f"malformed row in {what}: {row!r}")
         i, j = row["i"], row["j"]
         if not (type(i) is int and type(j) is int and 1 <= i <= dim and 1 <= j <= dim):
             raise ValueError(f"row index ({i!r}, {j!r}) out of range 1..{dim}")
-        if (i - 1, j - 1) in table:
+        if (key := (i - 1, j - 1)) in table:
             raise ValueError(f"duplicate row ({i}, {j}) in {what}")
         entries = row["c"]
         if not isinstance(entries, list):
             raise ValueError(f"entries of {what} row ({i}, {j}) must be a list, got {entries!r}")
         cell: dict = {}
-        zeros = False  # some value was zero, and is in `cell` for now
         for entry in entries:
-            if not (isinstance(entry, dict) and "k" in entry and "v" in entry):
-                raise ValueError(f"malformed entry in {what} row ({i}, {j}): {entry!r}")
-            k = entry["k"]
+            try:
+                k, text = entry["k"], entry["v"]
+            except (TypeError, KeyError):
+                raise ValueError(f"malformed entry in {what} row ({i}, {j}): {entry!r}") from None
             if not (type(k) is int and 1 <= k <= dim):
                 raise ValueError(f"entry index {k!r} out of range 1..{dim}")
             if k - 1 in cell:
                 raise ValueError(f"duplicate entry k={k} in {what} row ({i}, {j})")
-            text = entry["v"]
             if not isinstance(text, str):
                 raise ValueError(f"coefficient must be a rational string, got {text!r}")
-            v = values.get(text)
-            if v is None:
-                v = values[text] = parse_rational(text) or _ZERO
-            if v is _ZERO:
-                zeros = True
-            cell[k - 1] = v
-        if zeros:
-            cell = {k: v for k, v in cell.items() if v is not _ZERO}
-        emptied = emptied or not cell
-        table[(i - 1, j - 1)] = cell
-    return {key: cell for key, cell in table.items() if cell} if emptied else table
+            if text not in values:
+                values[text] = _rational_pair(text)
+            cell[k - 1] = text
+        table[key] = cell
+    return table
+
+
+def _integer_form(values: dict, *tables: dict) -> tuple[int, list[dict]]:
+    """(D, the tables times D) of `_rows_to_table`'s tables, D the lcm of the
+    denominators in `values`: each string is replaced in place by its `int`,
+    then zero values and empty cells are dropped."""
+    scale = lcm(*{q for _, q in values.values()})
+    ints = {text: p * (scale // q) for text, (p, q) in values.items()}
+    for table in tables:
+        for cell in table.values():
+            for k, text in cell.items():
+                cell[k] = ints[text]
+    if not all(ints.values()):
+        tables = [{key: {k: v for k, v in cell.items() if v} for key, cell in table.items()} for table in tables]
+    return scale, [table if all(table.values()) else {key: cell for key, cell in table.items() if cell}
+                   for table in tables]
 
 
 def obj_to_algebra(obj) -> StructureAlgebra | MuAlgebra:
@@ -127,20 +149,19 @@ def obj_to_algebra(obj) -> StructureAlgebra | MuAlgebra:
     if type(dim) is not int or dim < 0:
         raise ValueError(f"\"dim\" must be a nonnegative integer, got {dim!r}")
     kind = obj.get("kind")
-    values: dict = {}  # coefficient string -> Fraction, for this load
+    values: dict = {}  # coefficient string -> (p, q), for this load
     if kind == "leibniz":
         if "bracket" not in obj:
             raise ValueError('kind "leibniz" requires a "bracket" key')
-        return StructureAlgebra._of(dim, _rows_to_table(obj["bracket"], dim, "bracket", values))
+        bracket = _rows_to_table(obj["bracket"], dim, "bracket", values)
+        return StructureAlgebra._of_integers(dim, *_integer_form(values, bracket))
     if kind == "mu":
         for key in ("lie_bracket", "product"):
             if key not in obj:
                 raise ValueError(f'kind "mu" requires a "{key}" key')
-        return MuAlgebra._of(
-            dim,
-            _rows_to_table(obj["lie_bracket"], dim, "lie_bracket", values),
-            _rows_to_table(obj["product"], dim, "product", values),
-        )
+        lie = _rows_to_table(obj["lie_bracket"], dim, "lie_bracket", values)
+        product = _rows_to_table(obj["product"], dim, "product", values)
+        return MuAlgebra._of_integers(dim, *_integer_form(values, lie, product))
     raise ValueError(f'"kind" must be "leibniz" or "mu", got {kind!r}')
 
 
@@ -154,12 +175,13 @@ def loads_algebra(text: str) -> StructureAlgebra | MuAlgebra:
 
 def dumps_algebra(x: StructureAlgebra | MuAlgebra) -> str:
     """The canonical JSON text of an algebra, byte for byte what
-    `dumps_canonical` prints for its schema object."""
-    if isinstance(x, StructureAlgebra):
-        return _LEIBNIZ % (x.dim, _rows_text(x.bracket))
-    if isinstance(x, MuAlgebra):
-        return _MU % (x.dim, _rows_text(x.lie_bracket), _rows_text(x.product))
-    raise TypeError(f"not an algebra: {x!r}")
+    `dumps_canonical` prints for its schema object, written from its
+    integer form."""
+    if not isinstance(x, (StructureAlgebra, MuAlgebra)):
+        raise TypeError(f"not an algebra: {x!r}")
+    scale, tables = x._form
+    texts = _Texts(scale)
+    return (_LEIBNIZ if len(tables) == 1 else _MU) % (x.dim, *[_rows_text(table, texts) for table in tables])
 
 
 # ---------------------------------------------------------------------------

@@ -34,16 +34,20 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$", re.ASCII)  # \d: 0-9, not "٣
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" (q > 0); reject anything else, including floats."""
+    return Fraction(*_rational_pair(text))
+
+
+def _rational_pair(text: str) -> tuple[int, int]:
+    """(p, q), in lowest terms with q > 0, of what `parse_rational` reads,
+    refused with the same messages, but without making a Fraction."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    num, den = int(m.group(1)), int(m.group(2) or 1)
     if den == 0:
         raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,9 +58,12 @@ def format_rational(value: Fraction) -> str:
 Vector = Sequence[Fraction]
 
 
+_ZERO = Fraction(0)
+
+
 def _dense(dim: int, vec: dict) -> tuple[Fraction, ...]:
-    """The dense tuple of length `dim` of a sparse vector."""
-    out = [Fraction(0)] * dim
+    """The dense tuple of length `dim` of a sparse vector, filled with `_ZERO`."""
+    out = [_ZERO] * dim
     for j, v in vec.items():
         out[j] = v
     return tuple(out)

@@ -257,4 +257,4 @@ def truncate_to_structure(d: int, max_deg: int, max_degree: int = DEFAULT_MAX_DE
             z = _bracket_images(zi, images[j])  # Lyndon keys, degree ≤ cutoff ≤ cap: no checks
             if z:
                 bracket[(i, j)] = {index[key]: c for key, c in z.items()}
-    return StructureAlgebra(len(keys), bracket)
+    return StructureAlgebra._of_integers(len(keys), 1, [bracket])  # nonzero ints in range: its integer form

@@ -9,24 +9,24 @@ two tables: an antisymmetric bracket {−,−} and a commutative product.
 tuples and return the violations as data; the conversion maps between the
 two presentations refuse inputs whose report is non-empty.
 
+Each algebra also keeps its integer form, made once (see `_Algebra`).
+
 The identities are rows of one table, each a signed sum of bracket
 monomials such as ``+b(i,b(j,k)) -b(b(i,j),k) +b(b(i,k),j)``; a variety is
-a list of rows in `_VARIETY_GROUPS`.  One evaluator reads only the nonzero
-values, so the cost follows the nonzero cells, not dim³.  It computes in
-`int`s on the tables times D, the lcm of all their denominators, which
-`_check`, the one caller of `_integer_tables`, makes once per call; it
-builds every composite such as [[e_x,e_y],e_z] once per call, shared by
-all rows.  Each row is checked whole: its first monomial's values, keyed
-by index tuple, must equal the other monomials' values scattered onto the
-same tuples, one dict comparison; only a row that fails is summed, at the
-tuples where the two differ.  A row is all cells or all nested monomials,
-so its sum is D or D² times the true value; a violation's residual is that
-sum divided back, the exact tuple of Fractions.  The residuals are made
-dense only within the budget `linalg.MAX_DENSE_ENTRIES`; more raise
-RoncoError before any of them is.  The variety precondition, `_require_ok`,
-hands the tables times D it checked to its caller: the conversions read
-them and divide D back once per entry, and `homology` builds its chain
-data from them.
+a list of rows in `_VARIETY_GROUPS`.  One evaluator, `_check`, reads only
+the nonzero values of the integer form, so the cost follows the nonzero
+cells, not dim³, and all its arithmetic is on `int`s; it builds every
+composite such as [[e_x,e_y],e_z] once per call, shared by all rows.  Each
+row is checked whole: its first monomial's values, keyed by index tuple,
+must equal the other monomials' values scattered onto the same tuples, one
+dict comparison; only a row that fails is summed, at the tuples where the
+two differ.  A row is all cells or all nested monomials, so its sum is D or
+D² times the true value; a violation's residual is that sum divided back,
+the exact tuple of Fractions.  The residuals are made dense only within the
+budget `linalg.MAX_DENSE_ENTRIES`; more raise RoncoError before any of them
+is.  The variety precondition, `_require_ok`, hands the integer form it
+checked to its caller: the conversions return their result as its integer
+form (over 2D and D), and `homology` builds its chain data from it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,50 @@ def _normalize_table(dim: int, table: dict) -> dict:
     return out
 
 
-class StructureAlgebra(Record):
+class _Algebra(Record):
+    """Base of the two algebra classes, which keep beside their fields the
+    integer form in a private slot: (D, their tables times D), D a common
+    denominator of every value, so that every value is an `int`.  It is
+    made once per algebra.  Every identity check, and so every conversion
+    and homology functor, reads it, and `jsonio` reads and writes it.
+
+    An algebra built from Fractions makes its form on the first read of
+    `_form`, through `_integer_tables`, the one place where Fraction tables
+    become `int`s.  One read from JSON or made by a conversion starts from
+    its form alone (`_of_integers`) and makes its Fraction tables on the
+    first read of any of them, each distinct value once.  Neither the tables
+    nor the form are mutated, so neither goes stale; `==`, `repr`, `hash`
+    and pickle read the Fraction tables, as for every record.
+    """
+
+    __slots__ = ("_form",)
+
+    @classmethod
+    def _of_integers(cls, dim: int, scale: int, tables: list[dict]):
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "_form", (scale, tables))
+        return out
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the form of an algebra built from
+        # Fractions, or the tables of one made from its form
+        fields = self.__slots__[1:]
+        if name == "_form":
+            object.__setattr__(self, name, _integer_tables(*map(self.__getattribute__, fields)))
+        elif name in fields:
+            scale, tables = self._form
+            distinct = {x for table in tables for cell in table.values() for x in cell.values()}
+            made = {x: Fraction(x, scale) for x in distinct}  # each distinct value once
+            for field, table in zip(fields, tables):
+                object.__setattr__(self, field, {key: {k: made[x] for k, x in cell.items()}
+                                                 for key, cell in table.items()})
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
+
+
+class StructureAlgebra(_Algebra):
     """An algebra with one bracket, presented by structure constants."""
 
     __slots__ = ("dim", "bracket")
@@ -90,7 +133,7 @@ class StructureAlgebra(Record):
         return self.bracket.get((i, j), _EMPTY)
 
 
-class MuAlgebra(Record):
+class MuAlgebra(_Algebra):
     """An algebra with an antisymmetric bracket and a commutative product."""
 
     __slots__ = ("dim", "lie_bracket", "product")
@@ -259,9 +302,8 @@ def _at_tuples(values: dict, monomial: tuple, keep: Callable | None):
 
 
 def _check(x: StructureAlgebra | MuAlgebra, variety: str) -> tuple[VerificationReport, int, list[dict]]:
-    """(report, D, the tables times D): the one place where an algebra's
-    integer table is made; every row of the variety is checked on it, and it
-    is handed on to the caller.
+    """(report, D, the tables times D): every row of the variety is checked
+    on the algebra's integer form, which is handed on to the caller.
 
     A row holds when its first monomial's values, keyed by index tuple, equal
     Σ −sign·(each other monomial) scattered onto the same tuples: one dict
@@ -269,10 +311,9 @@ def _check(x: StructureAlgebra | MuAlgebra, variety: str) -> tuple[VerificationR
     where the two sides differ.  The violations are sorted by group, tuple
     and row, as a loop over all basis tuples would list them.
     """
-    mu = variety in _MU_VARIETIES
-    scale, scaled = _integer_tables(*((x.lie_bracket, x.product) if mu else (x.bracket,)))
-    tables = dict(zip("lp" if mu else "b", scaled))
-    groups = (_MU_VARIETIES if mu else _VARIETY_GROUPS)[variety]
+    scale, scaled = x._form
+    tables = {name[0]: table for name, table in zip(x.__slots__[1:], scaled)}  # "b", or "l" and "p"
+    groups = (_MU_VARIETIES if variety in _MU_VARIETIES else _VARIETY_GROUPS)[variety]
     # (shape, outer, inner) -> {slots: nonzero value}, built once and shared by every row
     families = {family for group in groups for _, monomials, _ in group for _, family, *_ in monomials}
     values = {f: tables[f[2]] if f[0] == "cell" else _composites(tables, *f) for f in families}
@@ -339,53 +380,41 @@ def _require_ok(x: StructureAlgebra | MuAlgebra, variety: str, message: str) -> 
 # ---------------------------------------------------------------------------
 # conversions
 
-class _Fractions(dict):
-    """(numerator, denominator) -> the Fraction, each one made once: the
-    entries of a converted table repeat a few values many times."""
-
-    def __missing__(self, key):
-        value = self[key] = Fraction(*key)
-        return value
-
-
 def ronco_to_mu(a: StructureAlgebra) -> MuAlgebra:
     """Split the bracket into {x,y} = ([x,y]−[y,x])/2 and xy = ([x,y]+[y,x])/2.
 
-    The check and the split read one integer table, the bracket times D:
-    each half is (x ∓ y)/2D.  Each unordered pair {i, j} is split once:
-    (j, i) gets the negated antisymmetric half and the same symmetric half.
+    The check and the split read one integer form, the bracket times D, and
+    the result is given by its own: each half is x ∓ y over 2D.  Each
+    unordered pair {i, j} is split once: (j, i) gets the negated
+    antisymmetric half and the same symmetric half.
     """
     scale, (table,) = _require_ok(a, "ronco", "input does not satisfy the square-bracket identities")
     lie: dict = {}
     prod: dict = {}
-    made = _Fractions()
     for i, j in {(i, j) if i <= j else (j, i) for i, j in table}:
         anti = dict(table.get((i, j), _EMPTY))
         sym = dict(anti)
         _add_scaled(anti, -1, table.get((j, i), _EMPTY))
         _add_scaled(sym, 1, table.get((j, i), _EMPTY))
         if anti:  # never for i == j
-            lie[(i, j)] = {k: made[x, 2 * scale] for k, x in anti.items()}
-            lie[(j, i)] = {k: made[-x, 2 * scale] for k, x in anti.items()}
+            lie[(i, j)] = anti
+            lie[(j, i)] = {k: -x for k, x in anti.items()}
         if sym:
-            prod[(i, j)] = {k: made[x, 2 * scale] for k, x in sym.items()}
-            if i != j:
-                prod[(j, i)] = dict(prod[(i, j)])  # no two cells share a dict
-    return MuAlgebra._of(a.dim, lie, prod)  # normalized: nonzero Fractions, no empty cells
+            prod[(i, j)] = prod[(j, i)] = sym
+    return MuAlgebra._of_integers(a.dim, 2 * scale, [lie, prod])
 
 
 def mu_to_ronco(m: MuAlgebra) -> StructureAlgebra:
-    """Recombine as [x,y] = {x,y} + xy: (l + p)/D on the tables times D
+    """Recombine as [x,y] = {x,y} + xy: l + p over D, on the integer form
     that the axiom check reads."""
     scale, (lie, prod) = _require_ok(m, "mu", "input does not satisfy the bracket/product axioms")
     bracket: dict = {}
-    made = _Fractions()
     for key in lie.keys() | prod.keys():
         cell = dict(lie.get(key, _EMPTY))
         _add_scaled(cell, 1, prod.get(key, _EMPTY))
         if cell:
-            bracket[key] = {k: made[x, scale] for k, x in cell.items()}
-    return StructureAlgebra._of(m.dim, bracket)  # normalized: nonzero Fractions, no empty cells
+            bracket[key] = cell
+    return StructureAlgebra._of_integers(m.dim, scale, [bracket])
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +478,9 @@ def free_nil2(d: int) -> StructureAlgebra:
             wedge_index[(i, j)] = d + len(wedge_index)
     bracket: dict = {}
     for (i, j), w in wedge_index.items():
-        bracket[(i, j)] = {w: Fraction(1)}
-        bracket[(j, i)] = {w: Fraction(-1)}
-    return StructureAlgebra(d + len(wedge_index), bracket)
+        bracket[(i, j)] = {w: 1}
+        bracket[(j, i)] = {w: -1}
+    return StructureAlgebra._of_integers(d + len(wedge_index), 1, [bracket])
 
 
 def abelian(dim: int) -> StructureAlgebra:

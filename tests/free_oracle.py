@@ -82,7 +82,9 @@ def rewrite_to_lyndon(t: LinComb) -> LinComb:
     while work:
         word = min(work, key=word_sort_key)
         if not is_lyndon(word):
-            raise NotLieElementError(f"residual tensor term {format_word(word)} has no Lyndon leading word")
+            raise NotLieElementError(
+                f"residual tensor term {format_word(word) or '() (the empty word)'} has no Lyndon leading word"
+            )
         c = work[word]
         _add_scaled(work, -c, _expand_word(word).coeffs)
         result[word] = c

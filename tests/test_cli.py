@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cli_oracle
 from basis_change import HEAVY_COEFFICIENTS, seeded_truncation
-from roncoalg import homology, ronco
+from roncoalg import homology, ronco, structure
 from roncoalg.cli import _COMMANDS, _HOMOLOGY, MAX_BASIS_SIZE, _build_parser, _print_violations, main
 from roncoalg.errors import RoncoError
 from roncoalg.homology import MAX_CHAIN_DIM, MAX_DENSE_ENTRIES, h1_adjoint, hl1, hl2, hr0
@@ -186,6 +186,39 @@ def test_convert_refuses_with_the_report_that_verify_prints(tmp_path, capsys, to
     assert (code, out) == (1, run(capsys, ["verify", "--variety", variety, str(path)])[1])
     assert out.endswith(" violation(s)\n") and not out.startswith("0 ")
     assert err.startswith("error: input does not satisfy")
+
+
+def test_verify_convert_and_homology_build_no_fraction_table(tmp_path, capsys, monkeypatch):
+    # the reader gives each algebra its integer form, and the checks, the
+    # conversions, the functors and the writer read that: no call makes a
+    # Fraction table from it or converts one into it; the stock truncations
+    # and free 2-step nilpotent algebras are made as their integer form
+    files = {"t34.json": dumps_algebra(seeded_truncation(3, 4, 1)),
+             "t23.json": dumps_algebra(seeded_truncation(2, 3, 1)),
+             "nil2.json": dumps_algebra(free_nil2(3)), "bad.json": BAD_LEIBNIZ, "bad.mu.json": BAD_MU}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def refuse(*args):
+        raise AssertionError(f"a Fraction table was made or converted: {args[1:] or args}")
+
+    monkeypatch.setattr(structure._Algebra, "__getattr__", refuse)
+    monkeypatch.setattr(structure, "_integer_tables", refuse)
+    calls = [(["verify", "--variety", variety, "t34.json"], code)
+             for variety, code in (("ronco", 0), ("lie", 1), ("leibniz", 0), ("symmetric", 1))]
+    calls += [(["convert", "--to", "mu", "t34.json", "-o", "t34.mu.json"], 0),
+              (["convert", "--to", "ronco", "t34.mu.json"], 0),
+              (["verify", "--variety", "mu", "t34.mu.json"], 0),
+              (["verify", "--variety", "mu-symmetric", "t34.mu.json"], 1),
+              (["convert", "--to", "mu", "bad.json"], 1), (["convert", "--to", "ronco", "bad.mu.json"], 1)]
+    calls += [(["homology", "--which", which, name], 0)
+              for which, name in (("hl1", "t23.json"), ("hl2", "t23.json"), ("hl1", "nil2.json"), ("hl2", "nil2.json"),
+                                  ("hr0", "nil2.json"), ("h1ad", "nil2.json"))]
+    calls += [(["ronco-truncate", "--gens", "2", "--max", "4"], 0), (["free-nil2", "--dim", "3"], 0)]
+    for argv, code in calls:
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run(capsys, argv)[0] == code, argv
+    assert run(capsys, ["convert", "--to", "ronco", str(tmp_path / "t34.mu.json")])[1] == files["t34.json"]
 
 
 def printed(printer, violations) -> str:

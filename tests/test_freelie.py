@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import free_oracle
 from free_oracle import left_normed_tensor
 from roncoalg.errors import DegreeOverflowError, NotLieElementError
 from roncoalg.freelie import (
@@ -146,6 +147,15 @@ def test_rewrite_names_the_empty_word():
         rewrite_to_lyndon(LinComb({(): 1}))
     with pytest.raises(NotLieElementError, match=r"the empty word"):
         rewrite_to_lyndon(LinComb({(): 2, (1,): 1, (1, 2): -1}))
+
+
+def test_the_oracle_rewrite_names_the_empty_word_as_the_package_does():
+    messages = []
+    for rewrite in (rewrite_to_lyndon, free_oracle.rewrite_to_lyndon):
+        with pytest.raises(NotLieElementError) as info:
+            rewrite(LinComb({(): 1}))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "residual tensor term () (the empty word) has no Lyndon leading word"
 
 
 def test_rewrite_clears_shorter_words_first():

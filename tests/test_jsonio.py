@@ -25,7 +25,7 @@ from roncoalg.jsonio import (
     ronco_element_to_obj,
     vectors_to_obj,
 )
-from roncoalg.linalg import parse_rational
+from roncoalg.linalg import _rational_pair
 from roncoalg.lincomb import LinComb
 from roncoalg.ronco import (
     _graded_kernel,
@@ -284,7 +284,7 @@ def test_each_distinct_coefficient_string_is_parsed_once_per_load(monkeypatch):
         obj = json.loads(text)
         strings = [e["v"] for key in TABLES[obj["kind"]] for r in obj[key] for e in r["c"]]
         parsed = []
-        monkeypatch.setattr(jsonio, "parse_rational", lambda s: parsed.append(s) or parse_rational(s))
+        monkeypatch.setattr(jsonio, "_rational_pair", lambda s: parsed.append(s) or _rational_pair(s))
         assert loads_algebra(text) == jsonio_oracle.obj_to_algebra(obj)
         assert sorted(parsed) == sorted(set(strings))
         assert len(parsed) < len(strings)

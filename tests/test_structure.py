@@ -9,6 +9,7 @@ import pytest
 
 from roncoalg import homology, linalg, structure
 from roncoalg.errors import NotInVarietyError, RoncoError
+from roncoalg.jsonio import dumps_algebra, loads_algebra
 from roncoalg.linalg import SpanBuilder
 from roncoalg.ronco import truncate_to_structure
 from roncoalg.structure import (
@@ -363,9 +364,10 @@ def test_integer_tables_scale_by_the_lcm_of_all_denominators():
 
 
 def test_each_call_converts_its_table_once(monkeypatch):
-    # the variety precondition makes the integer table and hands it on, so no
-    # caller converts the same table a second time; every loaded roncoalg
-    # module that holds `_integer_tables` gets the counting wrapper
+    # an algebra makes its integer form once: one built from Fractions
+    # converts its tables on first use, once across all nine operations, and
+    # one read from JSON or made by a conversion never converts; every loaded
+    # roncoalg module that holds `_integer_tables` gets the counting wrapper
     calls = []
     original = structure._integer_tables
 
@@ -378,20 +380,21 @@ def test_each_call_converts_its_table_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
-    lie, ronco = free_nil2(3), truncate_to_structure(2, 3)
-    mu = ronco_to_mu(ronco)
-    cases = {
-        "hl1": lambda: homology.hl1(lie),
-        "hl2": lambda: homology.hl2(lie),
-        "hr0": lambda: homology.hr0(lie),
-        "h1_adjoint": lambda: homology.h1_adjoint(lie),
-        "ronco_to_mu": lambda: ronco_to_mu(ronco),
-        "mu_to_ronco": lambda: mu_to_ronco(mu),
-        "lie_quotient": lambda: lie_quotient(ronco),
-        "verify_variety": lambda: verify_variety(ronco, "ronco"),
-        "verify_mu": lambda: verify_mu(mu),
-    }
-    for name, call in cases.items():
-        calls.clear()
-        call()
-        assert len(calls) == 1, name
+
+    def run_all(lie, ronco, mu):
+        homology.hl1(lie), homology.hl2(lie), homology.hr0(lie), homology.h1_adjoint(lie)
+        ronco_to_mu(ronco), mu_to_ronco(mu), lie_quotient(ronco)
+        verify_variety(ronco, "ronco"), verify_mu(mu)
+
+    # the stock constructions are made as their integer form, so these two
+    # are built again from their Fraction tables
+    lie, ronco = (StructureAlgebra(x.dim, x.bracket) for x in (free_nil2(3), truncate_to_structure(2, 3)))
+    calls.clear()
+    mu = ronco_to_mu(ronco)  # made by a conversion
+    run_all(lie, ronco, mu)
+    assert [tuple(map(id, tables)) for tables in calls] == [(id(ronco.bracket),), (id(lie.bracket),)]
+    read = [loads_algebra(dumps_algebra(x)) for x in (lie, ronco, mu)]
+    calls.clear()
+    run_all(*read)
+    run_all(read[0], read[1], ronco_to_mu(read[1]))
+    assert calls == []
